@@ -1,22 +1,15 @@
 // Batch-engine scaling bench: a synthetic suite of independent compression
 // jobs (random ternary cubes, paper-default LZW configuration across all
-// five tiebreaks) runs through the pipelined engine at 1/2/4/8 workers per
-// stage. Reports jobs/sec and MB/sec per point and writes the trajectory to
-// BENCH_engine_throughput.json (override with $TDC_BENCH_JSON).
-//
-// Each point runs twice: once under the pre-PR concurrency discipline
-// (EngineOptions::contention_baseline — eager queue notifies, one job per
-// queue lock round-trip, per-job metrics flushes) and once under the
-// current one (waiter-tracked notifies, batched transfers, per-worker
-// metrics shards). The contention columns — futex notifies issued, blocked
-// waits, time spent blocked, registry flushes — come from the engine's own
-// queue.*/*.flushes counters, so the delta isolates the coordination
-// overhead the hot path no longer pays; the wall-clock columns show it is
-// not bought with throughput.
+// five tiebreaks) runs through Engine::run at 1/2/4/8 pool workers. Each
+// point reports its wall time (best of kRepeats runs after a warm-up),
+// jobs/sec, MB/sec and speedup vs 1 worker — the workers-vs-CPUs scaling
+// curve — and the trajectory goes to BENCH_engine_throughput.json
+// (override with $TDC_BENCH_JSON), stamped with the host's CPU count.
 //
 // The suite is identical for every worker count (fixed seeds, inline
 // inputs, verify stage on), so the speedup column isolates the
-// orchestration: the same work, more lanes.
+// orchestration: the same work, more lanes. Past the CPU count the curve
+// should flatten, not fall.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -71,64 +64,20 @@ engine::Manifest build_suite() {
   return manifest;
 }
 
-/// Coordination-overhead counters of one engine run, summed over the five
-/// inter-stage queues and the per-stage shard flushes.
-struct Contention {
-  std::uint64_t notifies_sent = 0;
-  std::uint64_t notifies_skipped = 0;
-  std::uint64_t blocked = 0;
-  std::uint64_t blocked_micros = 0;
-  std::uint64_t queue_ops = 0;       // lock round-trips: pushes+pops incl. batched
-  std::uint64_t registry_flushes = 0;
-};
-
-Contention read_contention(engine::MetricsRegistry& m) {
-  Contention c;
-  for (const char* q : {"load", "encode", "container", "verify", "done"}) {
-    const std::string p = std::string("queue.") + q + ".";
-    c.notifies_sent += m.counter(p + "notifies_sent").value();
-    c.notifies_skipped += m.counter(p + "notifies_skipped").value();
-    c.blocked += m.counter(p + "push_blocked").value() +
-                 m.counter(p + "pop_blocked").value();
-    c.blocked_micros += m.counter(p + "push_blocked_micros").value() +
-                        m.counter(p + "pop_blocked_micros").value();
-    // One lock round-trip per plain push/pop; a batch transfer is one
-    // round-trip however many items it moves.
-    const std::uint64_t pushes = m.counter(p + "pushes").value();
-    const std::uint64_t pops = m.counter(p + "pops").value();
-    const std::uint64_t bpush = m.counter(p + "batch_pushes").value();
-    const std::uint64_t bpop = m.counter(p + "batch_pops").value();
-    // pushes/pops count items; batch counters count calls. Items moved by
-    // batch calls still cost only their call's round-trip, but the split
-    // between batched and plain items is not tracked per item — report the
-    // conservative upper bound when no batching happened, the call count
-    // otherwise.
-    c.queue_ops += (bpush != 0 ? bpush : pushes) + (bpop != 0 ? bpop : pops);
-  }
-  for (const char* s : {"load", "encode", "container", "verify", "commit"}) {
-    c.registry_flushes += m.counter(std::string(s) + ".flushes").value();
-  }
-  return c;
-}
-
 struct Point {
   unsigned workers = 0;
   double seconds = 0.0;
   double jobs_per_sec = 0.0;
   double mb_per_sec = 0.0;
-  double baseline_seconds = 0.0;
-  Contention sharded;
-  Contention baseline;
 };
 
-/// One measured engine run on a fresh registry (warm-up runs use their own
-/// engine so the measured counters cover exactly one run).
+constexpr int kRepeats = 3;
+
+/// One measured engine run; `metrics_json` receives its registry.
 double timed_run(const engine::Manifest& manifest, unsigned workers,
-                 bool contention_baseline, Contention* out,
                  std::string* metrics_json) {
   engine::EngineOptions options;
   options.workers = workers;
-  options.contention_baseline = contention_baseline;
   engine::Engine eng(options);
   const engine::BatchResult result = eng.run(manifest);
   if (result.failed_count() != 0) {
@@ -136,18 +85,8 @@ double timed_run(const engine::Manifest& manifest, unsigned workers,
                  result.failed_count());
     std::exit(1);
   }
-  if (out != nullptr) *out = read_contention(eng.metrics());
   if (metrics_json != nullptr) *metrics_json = eng.metrics().to_json();
   return result.wall_seconds;
-}
-
-std::string pct_drop(std::uint64_t before, std::uint64_t after) {
-  if (before == 0) return "n/a";
-  const double drop =
-      (1.0 - static_cast<double>(after) / static_cast<double>(before)) * 100.0;
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.1f%%", drop);
-  return buf;
 }
 
 }  // namespace
@@ -170,36 +109,33 @@ int main(int argc, char** argv) {
   const std::uint64_t total_bits = kJobs * kBitsPerJob;
 
   std::vector<Point> points;
-  double base_jobs_per_sec = 0.0;
   std::string metrics_json;
-
   for (const unsigned workers : {1u, 2u, 4u, 8u}) {
-    // Warm-up pass amortizes first-touch costs; measured passes follow.
-    timed_run(manifest, workers, false, nullptr, nullptr);
+    timed_run(manifest, workers, nullptr);  // warm-up: first-touch costs
     Point p;
     p.workers = workers;
-    p.baseline_seconds = timed_run(manifest, workers, true, &p.baseline, nullptr);
-    // The last point's registry (counters + latency histograms with
-    // p50/p95/p99) is embedded in the JSON so the perf trajectory captures
-    // the latency distributions, not just jobs/sec.
-    p.seconds = timed_run(manifest, workers, false, &p.sharded, &metrics_json);
+    p.seconds = timed_run(manifest, workers, nullptr);
+    for (int r = 1; r < kRepeats; ++r) {
+      // The last point's registry (counters + latency histograms with
+      // p50/p95/p99) is embedded in the JSON so the trajectory captures the
+      // latency distributions, not just jobs/sec.
+      p.seconds = std::min(p.seconds, timed_run(manifest, workers, &metrics_json));
+    }
     p.jobs_per_sec = static_cast<double>(kJobs) / p.seconds;
     p.mb_per_sec = static_cast<double>(total_bits) / 8.0 / 1e6 / p.seconds;
-    if (workers == 1) base_jobs_per_sec = p.jobs_per_sec;
     points.push_back(p);
   }
 
+  const double base_jobs_per_sec = points.front().jobs_per_sec;
   tdc::exp::Table table({"workers", "wall (s)", "jobs/sec", "MB/sec", "speedup"});
-  tdc::exp::Table contention({"workers", "notifies b/n", "blocked b/n",
-                              "blocked-us b/n", "flushes b/n", "drops"});
   std::string json = "{\n  \"bench\": \"engine_throughput\",\n  \"jobs\": " +
                      std::to_string(kJobs) + ",\n  \"bits_per_job\": " +
                      std::to_string(kBitsPerJob) + ",\n  \"cpus\": " +
-                     std::to_string(cpus) + ",\n  \"points\": [\n";
+                     std::to_string(cpus) + ",\n  \"repeats\": " +
+                     std::to_string(kRepeats) + ",\n  \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
-    const double speedup =
-        base_jobs_per_sec > 0 ? p.jobs_per_sec / base_jobs_per_sec : 0.0;
+    const double speedup = p.jobs_per_sec / base_jobs_per_sec;
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.3f", p.seconds);
     std::string secs = buf;
@@ -209,46 +145,13 @@ int main(int argc, char** argv) {
     std::string mbps = buf;
     std::snprintf(buf, sizeof buf, "%.2fx", speedup);
     table.add_row({std::to_string(p.workers), secs, jps, mbps, buf});
-    contention.add_row(
-        {std::to_string(p.workers),
-         std::to_string(p.baseline.notifies_sent) + "/" +
-             std::to_string(p.sharded.notifies_sent),
-         std::to_string(p.baseline.blocked) + "/" +
-             std::to_string(p.sharded.blocked),
-         std::to_string(p.baseline.blocked_micros) + "/" +
-             std::to_string(p.sharded.blocked_micros),
-         std::to_string(p.baseline.registry_flushes) + "/" +
-             std::to_string(p.sharded.registry_flushes),
-         pct_drop(p.baseline.notifies_sent, p.sharded.notifies_sent) + " ntf, " +
-             pct_drop(p.baseline.blocked_micros, p.sharded.blocked_micros) +
-             " blk, " +
-             pct_drop(p.baseline.registry_flushes, p.sharded.registry_flushes) +
-             " fl"});
-    char entry[1024];
-    std::snprintf(
-        entry, sizeof entry,
-        "%s    {\"workers\": %u, \"wall_seconds\": %.4f, "
-        "\"jobs_per_sec\": %.2f, \"mb_per_sec\": %.3f, "
-        "\"speedup_vs_1\": %.3f,\n"
-        "     \"baseline_wall_seconds\": %.4f,\n"
-        "     \"contention_baseline\": {\"notifies_sent\": %llu, "
-        "\"blocked\": %llu, \"blocked_micros\": %llu, \"queue_ops\": %llu, "
-        "\"registry_flushes\": %llu},\n"
-        "     \"contention_sharded\": {\"notifies_sent\": %llu, "
-        "\"blocked\": %llu, \"blocked_micros\": %llu, \"queue_ops\": %llu, "
-        "\"registry_flushes\": %llu}}",
-        i == 0 ? "" : ",\n", p.workers, p.seconds, p.jobs_per_sec, p.mb_per_sec,
-        speedup, p.baseline_seconds,
-        static_cast<unsigned long long>(p.baseline.notifies_sent),
-        static_cast<unsigned long long>(p.baseline.blocked),
-        static_cast<unsigned long long>(p.baseline.blocked_micros),
-        static_cast<unsigned long long>(p.baseline.queue_ops),
-        static_cast<unsigned long long>(p.baseline.registry_flushes),
-        static_cast<unsigned long long>(p.sharded.notifies_sent),
-        static_cast<unsigned long long>(p.sharded.blocked),
-        static_cast<unsigned long long>(p.sharded.blocked_micros),
-        static_cast<unsigned long long>(p.sharded.queue_ops),
-        static_cast<unsigned long long>(p.sharded.registry_flushes));
+    char entry[256];
+    std::snprintf(entry, sizeof entry,
+                  "%s    {\"workers\": %u, \"wall_seconds\": %.4f, "
+                  "\"jobs_per_sec\": %.2f, \"mb_per_sec\": %.3f, "
+                  "\"speedup_vs_1\": %.3f}",
+                  i == 0 ? "" : ",\n", p.workers, p.seconds, p.jobs_per_sec,
+                  p.mb_per_sec, speedup);
     json += entry;
   }
   json += "\n  ],\n  \"metrics\": ";
@@ -256,7 +159,5 @@ int main(int argc, char** argv) {
   json += metrics_json;
   json += "\n}\n";
   std::printf("%s\n", table.render().c_str());
-  std::printf("Coordination overhead, pre-PR baseline (b) vs sharded/batched (n):\n%s\n",
-              contention.render().c_str());
   return tdc::exp::write_bench_json("engine_throughput", json) ? 0 : 1;
 }

@@ -6,10 +6,10 @@
 #                                   indexed chars/sec, gain vs the pinned
 #                                   pre-PR-6 baseline) + google-benchmark
 #                                   micro numbers on stdout
-#   BENCH_engine_throughput.json  — batch-engine scaling at 1/2/4/8 workers
-#                                   plus the contention baseline-vs-sharded
-#                                   comparison (queue notifies, blocked
-#                                   waits, registry flushes)
+#   BENCH_engine_throughput.json  — batch-engine scaling curve: wall time,
+#                                   jobs/sec and speedup vs 1 worker at
+#                                   1/2/4/8 pool workers, stamped with the
+#                                   host's CPU count
 #
 # Usage: bench/run_benches.sh [build-dir]
 #   build-dir defaults to ./build (must already be configured+built, e.g.

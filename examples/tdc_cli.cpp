@@ -101,7 +101,7 @@ int usage() {
                "  tdc_cli inspect <file>        (alias: info)\n"
                "  tdc_cli verify <in.tdclzw>... [--jobs N]\n"
                "  tdc_cli batch <manifest> [--jobs N] [--fail-fast] [--no-verify]\n"
-               "              [--out-dir <dir>] [--queue N] [--metrics <out.json>]\n"
+               "              [--out-dir <dir>] [--metrics <out.json>]\n"
                "  tdc_cli stats <in.tests|in.tdclzw|netlist.bench|netlist.v>"
                " [--out <f>]\n"
                "              [--dict N] [--char C] [--entry E] [--variable]\n"
@@ -888,7 +888,6 @@ int cmd_batch(exp::Args& args) {
   options.workers = args.jobs();
   options.fail_fast = args.flag("--fail-fast");
   options.verify = !args.flag("--no-verify");
-  options.queue_capacity = args.u32("--queue", 0);
   if (const auto dir = args.value("--out-dir")) options.output_dir = *dir;
   const std::optional<std::string> metrics_path = args.value("--metrics");
 

@@ -1,20 +1,16 @@
 #include "engine/engine.h"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <map>
-#include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "codec/select.h"
-#include "exp/bounded_queue.h"
 #include "exp/flow.h"
 #include "exp/table.h"
-#include "exp/thread_pool.h"
 #include "lzw/stream_io.h"
 #include "lzw/verify.h"
 #include "obs/trace.h"
@@ -24,9 +20,9 @@ namespace tdc::engine {
 
 namespace {
 
-/// One job in flight: the spec plus whatever earlier stages produced.
+/// One running job: the spec plus whatever earlier stages produced. Lives
+/// only for the job body; the outcome and container leave it at the end.
 struct Job {
-  std::size_t index = 0;
   const JobSpec* spec = nullptr;
   bits::TritVector stream;        // load
   lzw::EncodeResult encoded;      // encode, legacy whole-buffer LZW
@@ -38,10 +34,7 @@ struct Job {
   bool multi_codec() const { return !spec->codec.empty(); }
 };
 
-using JobPtr = std::unique_ptr<Job>;
-using JobQueue = exp::BoundedQueue<JobPtr>;
-
-/// Pre-resolved per-stage instruments, so stage workers never touch the
+/// Pre-resolved per-stage instruments, so workers never touch the
 /// registry's name map on the hot path. bits_in/bits_out are only wired for
 /// the encode stage.
 struct StageMetrics {
@@ -50,48 +43,21 @@ struct StageMetrics {
   Counter* fail;
   Counter* skip;
   Histogram* micros;
-  Counter* flushes;  ///< shard publications — the registry-lock traffic proxy
   Counter* bits_in = nullptr;
   Counter* bits_out = nullptr;
 };
 
 StageMetrics make_stage_metrics(MetricsRegistry& m, const std::string& stage) {
-  return StageMetrics{&m.counter(stage + ".in"),      &m.counter(stage + ".ok"),
-                      &m.counter(stage + ".fail"),    &m.counter(stage + ".skip"),
-                      &m.histogram(stage + ".micros"), &m.counter(stage + ".flushes")};
+  return StageMetrics{&m.counter(stage + ".in"), &m.counter(stage + ".ok"),
+                      &m.counter(stage + ".fail"), &m.counter(stage + ".skip"),
+                      &m.histogram(stage + ".micros")};
 }
 
-/// Per-worker metrics shard: plain integers plus an unsynchronized
-/// histogram, owned by one stage thread. Workers record every sample here
-/// and publish via flush_shard() — once at thread exit in the sharded
-/// discipline (a handful of atomic adds and one histogram lock per worker
-/// per run), or after every job in the contention-baseline discipline
-/// (reproducing the pre-PR per-job lock cadence for the bench).
-struct StageShard {
-  std::uint64_t in = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t fail = 0;
-  std::uint64_t skip = 0;
-  std::uint64_t bits_in = 0;
-  std::uint64_t bits_out = 0;
-  LocalHistogram micros;
-};
-
-void flush_shard(const StageMetrics& sm, StageShard& shard) {
-  if (shard.in == 0 && shard.skip == 0 && shard.micros.snapshot().count == 0) {
-    return;  // nothing recorded since the last flush — no lock traffic
-  }
-  sm.flushes->add();
-  if (shard.in != 0) sm.in->add(shard.in);
-  if (shard.ok != 0) sm.ok->add(shard.ok);
-  if (shard.fail != 0) sm.fail->add(shard.fail);
-  if (shard.skip != 0) sm.skip->add(shard.skip);
-  if (shard.bits_in != 0 && sm.bits_in != nullptr) sm.bits_in->add(shard.bits_in);
-  if (shard.bits_out != 0 && sm.bits_out != nullptr) {
-    sm.bits_out->add(shard.bits_out);
-  }
-  if (shard.micros.snapshot().count != 0) sm.micros->merge(shard.micros.snapshot());
-  shard = StageShard{};
+std::uint64_t micros_since(std::chrono::steady_clock::time_point start) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
 }
 
 Error typed_error(ErrorKind kind, std::string message) {
@@ -122,9 +88,8 @@ std::string resolve_output(const std::string& output_dir, const std::string& pat
   return output_dir + "/" + path;
 }
 
-/// Seeds the outcome's identity fields from the spec — shared by the batch
-/// feeder and the JobRunner submission path so reports describe jobs
-/// identically whichever front end ran them.
+/// Seeds the outcome's identity fields from the spec, so reports describe
+/// jobs identically whichever front end ran them.
 void init_outcome(Job& job) {
   const JobSpec& spec = *job.spec;
   job.outcome.name = spec.name;
@@ -137,89 +102,13 @@ void init_outcome(Job& job) {
   job.outcome.container_version = spec.codec.empty() ? spec.container.version : 3;
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------- BatchResult
-
-std::size_t BatchResult::ok_count() const {
-  std::size_t n = 0;
-  for (const auto& j : jobs) n += j.ok() ? 1 : 0;
-  return n;
-}
-
-std::size_t BatchResult::failed_count() const {
-  std::size_t n = 0;
-  for (const auto& j : jobs) n += (!j.status.ok() && !j.cancelled) ? 1 : 0;
-  return n;
-}
-
-std::size_t BatchResult::cancelled_count() const {
-  std::size_t n = 0;
-  for (const auto& j : jobs) n += j.cancelled ? 1 : 0;
-  return n;
-}
-
-std::string BatchResult::report() const {
-  exp::Table table({"Job", "Config", "Cont", "Orig", "Comp", "Ratio", "Status"});
-  for (const JobOutcome& j : jobs) {
-    std::string status = "ok";
-    if (j.cancelled) {
-      status = "cancelled";
-    } else if (!j.status.ok()) {
-      status = std::string("FAILED ") + to_string(j.status.error().kind);
-    }
-    table.add_row({j.name, j.config_summary,
-                   "v" + std::to_string(j.container_version),
-                   j.ok() ? exp::num(j.original_bits) : "-",
-                   j.ok() ? exp::num(j.compressed_bits) : "-",
-                   j.ok() ? exp::pct(j.ratio_percent) : "-", status});
-  }
-  return table.render();
-}
-
-// --------------------------------------------------------------------- Engine
-
-namespace {
-
 /// gen= inputs shared by several jobs are prepared exactly once; later
 /// jobs block on the shared future (a failed prepare fails each of them).
-/// Owned per batch run by RunState and per JobRunner for its lifetime.
 struct GenMemo {
   core::Mutex mutex;
   std::map<std::string, std::shared_future<std::shared_ptr<const bits::TritVector>>>
       memo TDC_GUARDED_BY(mutex);
 };
-
-/// Per-run shared state: queues, the prepared-circuit memo and the
-/// fail-fast cancellation flag.
-struct RunState {
-  RunState(std::size_t capacity, bool eager_notify)
-      : to_load(capacity, eager_notify), to_encode(capacity, eager_notify),
-        to_container(capacity, eager_notify), to_verify(capacity, eager_notify),
-        done(capacity, eager_notify) {}
-
-  JobQueue to_load, to_encode, to_container, to_verify, done;
-  // tdc-sync: advisory fail-fast flag; relaxed on both sides — stages only
-  // skip work they would otherwise do, no data is published through it.
-  std::atomic<bool> cancelled{false};
-  GenMemo gen;
-};
-
-}  // namespace
-
-Engine::Engine(EngineOptions options, MetricsRegistry* metrics)
-    : options_(std::move(options)) {
-  if (metrics == nullptr) {
-    owned_metrics_ = std::make_unique<MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  } else {
-    metrics_ = metrics;
-  }
-}
-
-Engine::~Engine() = default;
-
-namespace {
 
 Status stage_load(GenMemo& gen, Job& job) {
   const JobSpec& spec = *job.spec;
@@ -336,297 +225,274 @@ Status stage_verify(Job& job) {
   return {};
 }
 
-}  // namespace
+/// The one job body both front ends run on a pool worker: load → encode →
+/// containerize → verify, each stage counted and timed straight into the
+/// shared instruments. Owns the gen= memo, so a batch run (or a JobRunner,
+/// for its lifetime) prepares each circuit once.
+class JobBody {
+ public:
+  explicit JobBody(MetricsRegistry& m)
+      : metrics_(m), load_(make_stage_metrics(m, "load")),
+        encode_(make_stage_metrics(m, "encode")),
+        container_(make_stage_metrics(m, "container")),
+        verify_(make_stage_metrics(m, "verify")) {
+    encode_.bits_in = &m.counter("encode.bits_in");
+    encode_.bits_out = &m.counter("encode.bits_out");
+  }
 
-BatchResult Engine::run(const Manifest& manifest, const CommitCallback& on_commit) {
-  const unsigned workers =
-      options_.workers != 0 ? options_.workers : exp::ThreadPool::default_jobs();
-  const std::size_t capacity =
-      options_.queue_capacity != 0
-          ? options_.queue_capacity
-          : std::max<std::size_t>(2 * static_cast<std::size_t>(workers), 4);
-
-  obs::TraceSpan run_span("engine.run");
-  run_span.arg("jobs", static_cast<std::uint64_t>(manifest.jobs.size()));
-  run_span.arg("workers", static_cast<std::uint64_t>(workers));
-
-  const bool baseline = options_.contention_baseline;
-  // Batch granularity for queue transfers: small enough to keep the
-  // pipeline's hand-off latency low, large enough that a busy stage pays
-  // one lock round-trip for several jobs.
-  const std::size_t stage_batch = baseline ? 1 : 4;
-
-  RunState run(capacity, baseline);
-  MetricsRegistry& m = *metrics_;
-  const StageMetrics load_m = make_stage_metrics(m, "load");
-  StageMetrics encode_m = make_stage_metrics(m, "encode");
-  encode_m.bits_in = &m.counter("encode.bits_in");
-  encode_m.bits_out = &m.counter("encode.bits_out");
-  const StageMetrics container_m = make_stage_metrics(m, "container");
-  const StageMetrics verify_m = make_stage_metrics(m, "verify");
-  const StageMetrics commit_m = make_stage_metrics(m, "commit");
-  Counter& bytes_written = m.counter("commit.bytes_written");
-  m.counter("engine.jobs").add(manifest.jobs.size());
-  m.counter("engine.runs").add();
-
-  const bool fail_fast = options_.fail_fast;
-  const bool do_verify = options_.verify;
-
-  // One stage execution: skip failed/cancelled jobs, time the body (into the
-  // worker's unsynchronized shard, plus a trace span carrying the job name),
-  // map the result onto the job and the shard.
-  const auto process = [&run, fail_fast](StageShard& shard,
-                                         const char* span_name, Job& job,
-                                         const std::function<Status(Job&)>& body) {
-    ++shard.in;
-    if (!job.failed && run.cancelled.load(std::memory_order_relaxed) &&
-        !job.outcome.cancelled) {
-      job.outcome.cancelled = true;
+  /// Runs `spec` to completion and returns its outcome, container bytes
+  /// included. A `cancelled` job still passes every stage, counted as a
+  /// skip, so stage counters account for the whole batch.
+  JobOutcome run(const JobSpec& spec, bool verify, bool cancelled) {
+    Job job;
+    job.spec = &spec;
+    init_outcome(job);
+    job.outcome.cancelled = cancelled;
+    stage(load_, "engine.load", job, [this](Job& j) { return stage_load(gen_, j); });
+    stage(encode_, "engine.encode", job, [this](Job& j) {
+      const Status status = stage_encode(j, metrics_);
+      if (status.ok()) {
+        encode_.bits_in->add(j.outcome.original_bits);
+        encode_.bits_out->add(j.outcome.compressed_bits);
+      }
+      return status;
+    });
+    stage(container_, "engine.container", job,
+          [](Job& j) { return stage_container(j); });
+    if (verify) {
+      stage(verify_, "engine.verify", job, [](Job& j) { return stage_verify(j); });
     }
+    job.outcome.container = std::move(job.container);
+    return std::move(job.outcome);
+  }
+
+ private:
+  template <typename Body>
+  static void stage(const StageMetrics& sm, const char* span_name, Job& job,
+                    Body&& body) {
+    sm.in->add();
     if (job.failed || job.outcome.cancelled) {
-      ++shard.skip;
+      sm.skip->add();
       return;
     }
     Status status;
     {
       obs::TraceSpan span(span_name);
       span.arg("job", job.outcome.name);
+      if (!job.spec->trace.empty()) span.arg("trace", job.spec->trace);
       const auto start = std::chrono::steady_clock::now();
-      status = body(job);
-      shard.micros.record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count()));
+      status = guarded([&] { return body(job); });
+      sm.micros->record(micros_since(start));
     }
     if (status.ok()) {
-      ++shard.ok;
+      sm.ok->add();
       return;
     }
     job.failed = true;
     job.outcome.status = status;
-    ++shard.fail;
-    if (fail_fast) run.cancelled.store(true, std::memory_order_relaxed);
-  };
+    sm.fail->add();
+  }
 
-  // A stage: `workers` threads popping `in`, processing, pushing `out`.
-  // Each worker drains its input up to `stage_batch` jobs per lock
-  // round-trip (pop_up_to) and forwards them the same way (push_all), and
-  // owns a StageShard merged into the registry at exit. The last worker out
-  // closes the downstream queue, so shutdown cascades from the feeder to
-  // the committer with no central coordinator.
-  struct Stage {
-    std::vector<std::thread> threads;
-    // tdc-sync: last-worker-out election; acq_rel on the decrement makes
-    // every worker's queue writes visible to whichever thread closes `out`.
-    std::shared_ptr<std::atomic<int>> remaining;
-  };
-  const auto spawn_stage = [&](JobQueue& in, JobQueue& out,
-                               std::function<void(Job&, StageShard&)> work,
-                               const StageMetrics& sm) {
-    Stage stage;
-    stage.remaining = std::make_shared<std::atomic<int>>(static_cast<int>(workers));
-    for (unsigned t = 0; t < workers; ++t) {
-      stage.threads.emplace_back([&in, &out, work, sm, baseline, stage_batch,
-                                  remaining = stage.remaining] {
-        StageShard shard;
-        if (baseline) {
-          // Pre-PR discipline: one job per queue round-trip, every sample
-          // flushed to the shared registry immediately.
-          while (auto item = in.pop()) {
-            JobPtr job = std::move(*item);
-            work(*job, shard);
-            flush_shard(sm, shard);
-            out.push(std::move(job));
-          }
-        } else {
-          std::vector<JobPtr> jobs;
-          jobs.reserve(stage_batch);
-          while (in.pop_up_to(stage_batch, jobs) > 0) {
-            for (JobPtr& job : jobs) work(*job, shard);
-            out.push_all(std::move(jobs));
-            jobs.clear();
-          }
-        }
-        flush_shard(sm, shard);
-        if (remaining->fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          out.close();
-        }
-      });
+  MetricsRegistry& metrics_;
+  StageMetrics load_, encode_, container_, verify_;
+  GenMemo gen_;
+};
+
+/// What the committing thread and the pool workers share during one
+/// Engine::run.
+struct BatchState {
+  explicit BatchState(std::size_t jobs) : finished(jobs, 0) {}
+
+  core::Mutex mutex;
+  core::CondVar job_done;  ///< a worker finished a job; only the committer waits
+  std::size_t running TDC_GUARDED_BY(mutex) = 0;  ///< admitted, not finished
+  std::vector<char> finished TDC_GUARDED_BY(mutex);  ///< per job: slot filled
+  bool cancelled TDC_GUARDED_BY(mutex) = false;      ///< fail-fast tripped
+};
+
+}  // namespace
+
+// ---------------------------------------------------------------- BatchResult
+
+std::size_t BatchResult::ok_count() const {
+  std::size_t n = 0;
+  for (const auto& j : jobs) n += j.ok() ? 1 : 0;
+  return n;
+}
+
+std::size_t BatchResult::failed_count() const {
+  std::size_t n = 0;
+  for (const auto& j : jobs) n += (!j.status.ok() && !j.cancelled) ? 1 : 0;
+  return n;
+}
+
+std::size_t BatchResult::cancelled_count() const {
+  std::size_t n = 0;
+  for (const auto& j : jobs) n += j.cancelled ? 1 : 0;
+  return n;
+}
+
+std::string BatchResult::report() const {
+  exp::Table table({"Job", "Config", "Cont", "Orig", "Comp", "Ratio", "Status"});
+  for (const JobOutcome& j : jobs) {
+    std::string status = "ok";
+    if (j.cancelled) {
+      status = "cancelled";
+    } else if (!j.status.ok()) {
+      status = std::string("FAILED ") + to_string(j.status.error().kind);
     }
-    return stage;
-  };
+    // Appending, not `"v" + std::to_string(...)`: gcc 12 reports a bogus
+    // -Wrestrict overlap in the inlined string insert that form expands to.
+    std::string version = "v";
+    version += std::to_string(j.container_version);
+    table.add_row({j.name, j.config_summary, version,
+                   j.ok() ? exp::num(j.original_bits) : "-",
+                   j.ok() ? exp::num(j.compressed_bits) : "-",
+                   j.ok() ? exp::pct(j.ratio_percent) : "-", status});
+  }
+  return table.render();
+}
 
-  const auto started = std::chrono::steady_clock::now();
+// --------------------------------------------------------------------- Engine
 
-  std::vector<Stage> stages;
-  stages.push_back(spawn_stage(
-      run.to_load, run.to_encode,
-      [&](Job& job, StageShard& shard) {
-        process(shard, "engine.load", job,
-                [&run](Job& j) { return stage_load(run.gen, j); });
-      },
-      load_m));
-  stages.push_back(spawn_stage(
-      run.to_encode, run.to_container,
-      [&](Job& job, StageShard& shard) {
-        process(shard, "engine.encode", job, [&shard, &m](Job& j) {
-          const Status status = stage_encode(j, m);
-          if (status.ok()) {
-            shard.bits_in += j.outcome.original_bits;
-            shard.bits_out += j.outcome.compressed_bits;
-          }
-          return status;
-        });
-      },
-      encode_m));
-  stages.push_back(spawn_stage(
-      run.to_container, run.to_verify,
-      [&](Job& job, StageShard& shard) {
-        process(shard, "engine.container", job,
-                [](Job& j) { return stage_container(j); });
-      },
-      container_m));
-  stages.push_back(spawn_stage(
-      run.to_verify, run.done,
-      [&](Job& job, StageShard& shard) {
-        if (!do_verify) return;  // stage disabled: pass through untouched
-        process(shard, "engine.verify", job,
-                [](Job& j) { return stage_verify(j); });
-      },
-      verify_m));
+Engine::Engine(EngineOptions options, MetricsRegistry* metrics)
+    : options_(std::move(options)) {
+  if (metrics == nullptr) {
+    owned_metrics_ = std::make_unique<MetricsRegistry>();
+    metrics_ = owned_metrics_.get();
+  } else {
+    metrics_ = metrics;
+  }
+}
 
-  // Feeder: materializes jobs into the first queue. Must be its own thread —
-  // the main thread commits, and a blocked committer must never block feeding
-  // (bounded queues + a single thread doing both would deadlock).
-  std::thread feeder([&manifest, &run, this, baseline, stage_batch] {
-    std::vector<JobPtr> pending_feed;
-    for (std::size_t i = 0; i < manifest.jobs.size(); ++i) {
-      auto job = std::make_unique<Job>();
-      job->index = i;
-      job->spec = &manifest.jobs[i];
-      init_outcome(*job);
-      job->outcome.output_path =
-          resolve_output(options_.output_dir, job->spec->output_path);
-      if (baseline) {
-        run.to_load.push(std::move(job));
-      } else {
-        pending_feed.push_back(std::move(job));
-        if (pending_feed.size() >= stage_batch) {
-          run.to_load.push_all(std::move(pending_feed));
-          pending_feed.clear();
-        }
-      }
-    }
-    if (!pending_feed.empty()) run.to_load.push_all(std::move(pending_feed));
-    run.to_load.close();
-  });
+Engine::~Engine() = default;
 
-  // Committer (this thread): commits — output-file write, callback, result
-  // slot — strictly in manifest order. The reorder buffer is a plain slot
-  // vector indexed by job index: an arrival is one pointer store, and an
-  // in-order arrival commits immediately with no ordered-map rebalancing or
-  // lookup — wait-free for the common case where the pipeline largely
-  // preserves order.
+BatchResult Engine::run(const Manifest& manifest, const CommitCallback& on_commit) {
+  const unsigned workers =
+      options_.workers != 0 ? options_.workers : exp::ThreadPool::default_jobs();
+  // Admission bound: one job running on every worker plus one queued behind
+  // each, so a worker never idles between jobs while memory stays bounded.
+  // It counts running jobs, not uncommitted ones: a finished job waiting in
+  // its slot for an earlier, slower job holds only its container.
+  const std::size_t limit = 2 * static_cast<std::size_t>(workers);
+  const std::size_t total = manifest.jobs.size();
+
+  obs::TraceSpan run_span("engine.run");
+  run_span.arg("jobs", static_cast<std::uint64_t>(total));
+  run_span.arg("workers", static_cast<std::uint64_t>(workers));
+
+  MetricsRegistry& m = *metrics_;
+  JobBody body(m);
+  const StageMetrics commit_m = make_stage_metrics(m, "commit");
+  Counter& bytes_written = m.counter("commit.bytes_written");
+  obs::Gauge& in_flight = m.gauge("engine.in_flight");
+  m.counter("engine.jobs").add(total);
+  m.counter("engine.runs").add();
+
+  const bool fail_fast = options_.fail_fast;
+  const bool verify = options_.verify;
+
   BatchResult result;
-  result.jobs.resize(manifest.jobs.size());
-  std::vector<JobPtr> slots(manifest.jobs.size());
-  std::size_t next = 0;
-  StageShard commit_shard;
-  const auto commit = [&](JobPtr job) {
-    ++commit_shard.in;
-    if (job->failed || job->outcome.cancelled) {
-      ++commit_shard.skip;
-    } else if (!job->outcome.output_path.empty()) {
+  result.jobs.resize(total);
+  BatchState batch(total);
+
+  // Commits one finished job on this thread: output-file write, callback.
+  const auto commit = [&](std::size_t index) {
+    JobOutcome& job = result.jobs[index];
+    job.output_path =
+        resolve_output(options_.output_dir, manifest.jobs[index].output_path);
+    commit_m.in->add();
+    if (!job.status.ok() || job.cancelled) {
+      commit_m.skip->add();
+    } else if (!job.output_path.empty()) {
       Status status;
       {
         obs::TraceSpan span("engine.commit");
-        span.arg("job", job->outcome.name);
+        span.arg("job", job.name);
         const auto start = std::chrono::steady_clock::now();
         status = guarded([&]() -> Status {
-          const std::filesystem::path target(job->outcome.output_path);
+          const std::filesystem::path target(job.output_path);
           if (target.has_parent_path()) {
             std::filesystem::create_directories(target.parent_path());
           }
-          std::ofstream out(job->outcome.output_path, std::ios::binary);
-          if (!out.write(job->container.data(),
-                         static_cast<std::streamsize>(job->container.size()))) {
-            return typed_error(ErrorKind::IoError, "cannot write " +
-                                                       job->outcome.output_path);
+          std::ofstream out(job.output_path, std::ios::binary);
+          if (!out.write(job.container.data(),
+                         static_cast<std::streamsize>(job.container.size()))) {
+            return typed_error(ErrorKind::IoError, "cannot write " + job.output_path);
           }
           return {};
         });
-        commit_shard.micros.record(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count()));
+        commit_m.micros->record(micros_since(start));
       }
       if (status.ok()) {
-        bytes_written.add(job->container.size());
-        job->container.clear();  // on disk now; don't hold the bytes twice
-        ++commit_shard.ok;
+        bytes_written.add(job.container.size());
+        job.container.clear();  // on disk now; don't hold the bytes twice
+        commit_m.ok->add();
       } else {
-        job->failed = true;
-        job->outcome.status = status;
-        ++commit_shard.fail;
-        if (fail_fast) run.cancelled.store(true, std::memory_order_relaxed);
+        job.status = status;
+        commit_m.fail->add();
+        if (fail_fast) {
+          core::MutexLock lock(batch.mutex);
+          batch.cancelled = true;
+        }
       }
     } else {
-      ++commit_shard.ok;
+      commit_m.ok->add();
     }
-    job->outcome.container = std::move(job->container);
-    if (on_commit) on_commit(job->outcome);
-    result.jobs[job->index] = std::move(job->outcome);
-    if (baseline) flush_shard(commit_m, commit_shard);
+    if (on_commit) on_commit(job);
   };
-  const auto settle = [&](JobPtr job) {
-    slots[job->index] = std::move(job);
-    while (next < slots.size() && slots[next] != nullptr) {
-      commit(std::move(slots[next]));
-      ++next;
+
+  // Runs one job on a pool worker and parks its outcome in its slot.
+  const auto run_job = [&](std::size_t index) {
+    bool cancelled = false;
+    {
+      core::MutexLock lock(batch.mutex);
+      cancelled = batch.cancelled;
     }
+    JobOutcome outcome = body.run(manifest.jobs[index], verify, cancelled);
+    const bool failed = !outcome.status.ok();
+    {
+      core::MutexLock lock(batch.mutex);
+      result.jobs[index] = std::move(outcome);
+      batch.finished[index] = 1;
+      --batch.running;
+      in_flight.add(-1);
+      if (failed && fail_fast) batch.cancelled = true;
+    }
+    batch.job_done.notify_one();
   };
-  if (baseline) {
-    while (auto item = run.done.pop()) settle(std::move(*item));
-  } else {
-    std::vector<JobPtr> arrivals;
-    arrivals.reserve(stage_batch);
-    while (run.done.pop_up_to(stage_batch, arrivals) > 0) {
-      for (JobPtr& job : arrivals) settle(std::move(job));
-      arrivals.clear();
+
+  const auto started = std::chrono::steady_clock::now();
+  {
+    // Scoped inside the lifetime of `batch` and `result`: the destructor
+    // joins the workers before anything they touch goes away.
+    exp::ThreadPool pool(workers);
+    std::size_t next_submit = 0;
+    std::size_t next_commit = 0;
+    while (next_commit < total) {
+      std::size_t admit = 0;
+      std::size_t ready = 0;
+      {
+        core::MutexLock lock(batch.mutex);
+        for (;;) {
+          while (next_commit + ready < total && batch.finished[next_commit + ready]) {
+            ++ready;
+          }
+          admit = std::min(limit - batch.running, total - next_submit);
+          if (ready != 0 || admit != 0) break;
+          batch.job_done.wait(lock);
+        }
+        batch.running += admit;
+        in_flight.add(static_cast<std::int64_t>(admit));
+      }
+      // Submit and commit outside the lock: workers finishing meanwhile
+      // only fill later slots.
+      for (; admit != 0; --admit, ++next_submit) {
+        pool.submit([&run_job, index = next_submit] { run_job(index); });
+      }
+      for (; ready != 0; --ready, ++next_commit) commit(next_commit);
     }
   }
-  flush_shard(commit_m, commit_shard);
-
-  feeder.join();
-  for (Stage& stage : stages) {
-    for (std::thread& t : stage.threads) t.join();
-  }
-
-  // Publish each queue's contention counters and roll the totals into the
-  // run trace span — the evidence surface for the wakeup/sharding work (the
-  // engine bench reads these same numbers into BENCH_engine_throughput.json).
-  exp::BoundedQueueStats totals;
-  const auto export_queue = [&m, &totals](const char* qname, const JobQueue& q) {
-    const exp::BoundedQueueStats s = q.stats();
-    add_queue_stats(m, qname, s);
-    totals.pushes += s.pushes;
-    totals.pops += s.pops;
-    totals.push_blocked += s.push_blocked;
-    totals.pop_blocked += s.pop_blocked;
-    totals.push_blocked_micros += s.push_blocked_micros;
-    totals.pop_blocked_micros += s.pop_blocked_micros;
-    totals.notifies_sent += s.notifies_sent;
-    totals.notifies_skipped += s.notifies_skipped;
-  };
-  export_queue("load", run.to_load);
-  export_queue("encode", run.to_encode);
-  export_queue("container", run.to_container);
-  export_queue("verify", run.to_verify);
-  export_queue("done", run.done);
-  run_span.arg("queue_blocked", totals.push_blocked + totals.pop_blocked);
-  run_span.arg("queue_blocked_micros", totals.blocked_micros());
-  run_span.arg("queue_notifies_sent", totals.notifies_sent);
-  run_span.arg("queue_notifies_skipped", totals.notifies_skipped);
 
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
@@ -637,169 +503,43 @@ BatchResult Engine::run(const Manifest& manifest, const CommitCallback& on_commi
   return result;
 }
 
-void add_queue_stats(MetricsRegistry& m, const std::string& name,
-                     const exp::BoundedQueueStats& s) {
-  const std::string prefix = "queue." + name + ".";
-  m.counter(prefix + "pushes").add(s.pushes);
-  m.counter(prefix + "pops").add(s.pops);
-  m.counter(prefix + "batch_pushes").add(s.batch_pushes);
-  m.counter(prefix + "batch_pops").add(s.batch_pops);
-  m.counter(prefix + "push_blocked").add(s.push_blocked);
-  m.counter(prefix + "pop_blocked").add(s.pop_blocked);
-  m.counter(prefix + "push_blocked_micros").add(s.push_blocked_micros);
-  m.counter(prefix + "pop_blocked_micros").add(s.pop_blocked_micros);
-  m.counter(prefix + "notifies_sent").add(s.notifies_sent);
-  m.counter(prefix + "notifies_skipped").add(s.notifies_skipped);
-  // Occupancy is a level, not an event stream: the gauge is set to the
-  // depth this snapshot saw (0 once a run or drain finished) while the
-  // queue's own lifetime max folds into the gauge's high-watermark.
-  obs::Gauge& depth = m.gauge(prefix + "depth");
-  depth.set(static_cast<std::int64_t>(s.depth));
-  depth.record_peak(static_cast<std::int64_t>(s.max_depth));
-}
-
 // ------------------------------------------------------------------ JobRunner
 
-/// One queued submission: either a full compression job (spec + done
-/// callback) or a raw closure from the service's decode-side endpoints.
-struct JobRunner::Item {
-  JobSpec spec;
-  DoneCallback done;
-  std::function<void()> task;  ///< when set, spec/done are unused
-};
-
-/// Pre-resolved instruments plus the gen= memo — everything the worker loop
-/// touches besides the queue.
+/// Pre-resolved runner instruments plus the shared job body.
 struct JobRunner::RunnerState {
   explicit RunnerState(MetricsRegistry& m)
-      : load(make_stage_metrics(m, "load")),
-        encode(make_stage_metrics(m, "encode")),
-        container(make_stage_metrics(m, "container")),
-        verify(make_stage_metrics(m, "verify")),
-        jobs(&m.counter("runner.jobs")), tasks(&m.counter("runner.tasks")),
+      : body(m), jobs(&m.counter("runner.jobs")), tasks(&m.counter("runner.tasks")),
         ok(&m.counter("runner.ok")), failed(&m.counter("runner.failed")),
         busy_rejects(&m.counter("runner.busy_rejects")),
-        in_flight(&m.gauge("runner.in_flight")) {
-    encode.bits_in = &m.counter("encode.bits_in");
-    encode.bits_out = &m.counter("encode.bits_out");
-  }
+        in_flight(&m.gauge("runner.in_flight")) {}
 
-  StageMetrics load, encode, container, verify;
+  JobBody body;
   Counter* jobs;
   Counter* tasks;
   Counter* ok;
   Counter* failed;
   Counter* busy_rejects;
   obs::Gauge* in_flight;  ///< live queued+running level; peak = worst burst
-  GenMemo gen;
 };
 
-namespace {
-
-/// One stage of a runner job, recorded straight into the shared instruments
-/// (per-request cadence — a stats endpoint must see the numbers live, and a
-/// few atomic adds per request are noise next to the socket round trip).
-void run_runner_stage(const StageMetrics& sm, const char* span_name, Job& job,
-                      const std::function<Status(Job&)>& body) {
-  sm.in->add();
-  if (job.failed) {
-    sm.skip->add();
-    return;
-  }
-  Status status;
-  {
-    obs::TraceSpan span(span_name);
-    span.arg("job", job.outcome.name);
-    if (!job.spec->trace.empty()) span.arg("trace", job.spec->trace);
-    const auto start = std::chrono::steady_clock::now();
-    status = body(job);
-    sm.micros->record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count()));
-  }
-  if (status.ok()) {
-    sm.ok->add();
-    return;
-  }
-  job.failed = true;
-  job.outcome.status = status;
-  sm.fail->add();
-}
-
-}  // namespace
-
 JobRunner::JobRunner(Options options, MetricsRegistry* metrics)
-    : options_(options) {
+    : options_(options), pool_(options.workers) {
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   } else {
     metrics_ = metrics;
   }
-  if (options_.workers == 0) options_.workers = exp::ThreadPool::default_jobs();
+  options_.workers = pool_.thread_count();
   if (options_.max_in_flight == 0) {
     options_.max_in_flight = 2 * static_cast<std::size_t>(options_.workers);
   }
   state_ = std::make_unique<RunnerState>(*metrics_);
-  // Queue capacity = the in-flight cap: with admissions counted before the
-  // push, a submit never blocks on queue space.
-  queue_ = std::make_unique<exp::BoundedQueue<std::unique_ptr<Item>>>(
-      options_.max_in_flight);
-  workers_.reserve(options_.workers);
-  for (unsigned t = 0; t < options_.workers; ++t) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
 }
 
 JobRunner::~JobRunner() { stop(); }
 
-void JobRunner::worker_loop() {
-  while (auto item = queue_->pop()) {
-    std::unique_ptr<Item> work = std::move(*item);
-    if (work->task) {
-      state_->tasks->add();
-      obs::TraceSpan span("runner.task");
-      work->task();
-    } else {
-      state_->jobs->add();
-      Job job;
-      job.spec = &work->spec;
-      init_outcome(job);
-      run_runner_stage(state_->load, "engine.load", job, [this](Job& j) {
-        return stage_load(state_->gen, j);
-      });
-      run_runner_stage(state_->encode, "engine.encode", job, [this](Job& j) {
-        const Status status = stage_encode(j, *metrics_);
-        if (status.ok()) {
-          state_->encode.bits_in->add(j.outcome.original_bits);
-          state_->encode.bits_out->add(j.outcome.compressed_bits);
-        }
-        return status;
-      });
-      run_runner_stage(state_->container, "engine.container", job,
-                       [](Job& j) { return stage_container(j); });
-      if (options_.verify) {
-        run_runner_stage(state_->verify, "engine.verify", job,
-                         [](Job& j) { return stage_verify(j); });
-      }
-      (job.failed ? state_->failed : state_->ok)->add();
-      job.outcome.container = std::move(job.container);
-      if (work->done) work->done(std::move(job.outcome));
-    }
-    {
-      core::MutexLock lock(mutex_);
-      --in_flight_;
-    }
-    state_->in_flight->add(-1);
-    idle_.notify_all();
-  }
-}
-
-bool JobRunner::submit(JobSpec spec, DoneCallback done) {
-  auto item = std::make_unique<Item>();
-  item->spec = std::move(spec);
-  item->done = std::move(done);
+bool JobRunner::admit() {
   {
     core::MutexLock lock(mutex_);
     if (stopping_ || in_flight_ >= options_.max_in_flight) {
@@ -809,23 +549,40 @@ bool JobRunner::submit(JobSpec spec, DoneCallback done) {
     ++in_flight_;
   }
   state_->in_flight->add(1);
-  queue_->push(std::move(item));
+  return true;
+}
+
+void JobRunner::finish() {
+  {
+    core::MutexLock lock(mutex_);
+    --in_flight_;
+  }
+  state_->in_flight->add(-1);
+  idle_.notify_all();
+}
+
+bool JobRunner::submit(JobSpec spec, DoneCallback done) {
+  if (!admit()) return false;
+  pool_.submit([this, spec = std::move(spec), done = std::move(done)] {
+    state_->jobs->add();
+    JobOutcome outcome = state_->body.run(spec, options_.verify, false);
+    (outcome.status.ok() ? state_->ok : state_->failed)->add();
+    if (done) done(std::move(outcome));
+    finish();
+  });
   return true;
 }
 
 bool JobRunner::submit_task(std::function<void()> task) {
-  auto item = std::make_unique<Item>();
-  item->task = std::move(task);
-  {
-    core::MutexLock lock(mutex_);
-    if (stopping_ || in_flight_ >= options_.max_in_flight) {
-      state_->busy_rejects->add();
-      return false;
+  if (!admit()) return false;
+  pool_.submit([this, task = std::move(task)] {
+    state_->tasks->add();
+    {
+      obs::TraceSpan span("runner.task");
+      task();
     }
-    ++in_flight_;
-  }
-  state_->in_flight->add(1);
-  queue_->push(std::move(item));
+    finish();
+  });
   return true;
 }
 
@@ -841,41 +598,32 @@ void JobRunner::drain() {
 
 void JobRunner::publish_queue_stats() {
   core::MutexLock lock(publish_mutex_);
-  const exp::BoundedQueueStats now = queue_->stats();
-  exp::BoundedQueueStats delta;
-  delta.pushes = now.pushes - published_.pushes;
-  delta.pops = now.pops - published_.pops;
-  delta.batch_pushes = now.batch_pushes - published_.batch_pushes;
-  delta.batch_pops = now.batch_pops - published_.batch_pops;
-  delta.push_blocked = now.push_blocked - published_.push_blocked;
-  delta.pop_blocked = now.pop_blocked - published_.pop_blocked;
-  delta.push_blocked_micros =
-      now.push_blocked_micros - published_.push_blocked_micros;
-  delta.pop_blocked_micros =
-      now.pop_blocked_micros - published_.pop_blocked_micros;
-  delta.notifies_sent = now.notifies_sent - published_.notifies_sent;
-  delta.notifies_skipped = now.notifies_skipped - published_.notifies_skipped;
-  // Occupancy levels pass through untouched — subtracting a previous depth
-  // from a current one would be meaningless.
-  delta.depth = now.depth;
-  delta.max_depth = now.max_depth;
-  add_queue_stats(*metrics_, "service", delta);
+  const exp::PoolStats now = pool_.stats();
+  const std::string prefix = "queue.service.";
+  MetricsRegistry& m = *metrics_;
+  m.counter(prefix + "pushes").add(now.pushes - published_.pushes);
+  m.counter(prefix + "pops").add(now.pops - published_.pops);
+  m.counter(prefix + "pop_blocked").add(now.pop_blocked - published_.pop_blocked);
+  m.counter(prefix + "pop_blocked_micros")
+      .add(now.pop_blocked_micros - published_.pop_blocked_micros);
+  // Occupancy is a level, not an event stream: the gauge is set to the
+  // depth this snapshot saw (0 once drained) while the queue's lifetime max
+  // folds into the gauge's high-watermark.
+  obs::Gauge& depth = m.gauge(prefix + "depth");
+  depth.set(static_cast<std::int64_t>(now.depth));
+  depth.record_peak(static_cast<std::int64_t>(now.max_depth));
   published_ = now;
 }
-
-exp::BoundedQueueStats JobRunner::queue_stats() const { return queue_->stats(); }
 
 void JobRunner::stop() {
   {
     core::MutexLock lock(mutex_);
-    if (stopping_ && workers_.empty()) return;
     stopping_ = true;
   }
-  // close() lets the workers drain everything already queued, then exit —
-  // in-flight jobs complete, new submissions are refused above.
-  queue_->close();
-  for (std::thread& t : workers_) t.join();
-  workers_.clear();
+  // Every admitted job has reached the pool once in_flight_ drains, so the
+  // shutdown below can never race a submit.
+  drain();
+  pool_.shutdown();
 }
 
 }  // namespace tdc::engine

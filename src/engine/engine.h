@@ -5,30 +5,26 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/error.h"
 #include "core/thread_safety.h"
 #include "engine/manifest.h"
 #include "engine/metrics.h"
-#include "exp/bounded_queue.h"
+#include "exp/thread_pool.h"
 
 namespace tdc::engine {
 
 /// Tuning knobs of a batch run.
 struct EngineOptions {
-  /// Worker threads per pipeline stage; 0 = exp::ThreadPool::default_jobs()
-  /// ($TDC_JOBS, else hardware concurrency).
+  /// Pool workers; 0 = exp::ThreadPool::default_jobs() ($TDC_JOBS, else
+  /// hardware concurrency). At most 2 * workers jobs are queued or running
+  /// at once, so in-flight memory is bounded by the worker count, never by
+  /// the batch size.
   unsigned workers = 0;
 
-  /// Capacity of each inter-stage queue; 0 = max(2 * workers, 4). Bounds
-  /// in-flight memory: at most `stages * (capacity + workers)` jobs are ever
-  /// materialized, regardless of the batch size.
-  std::size_t queue_capacity = 0;
-
-  /// After the first job failure, cancel every job that has not yet entered
-  /// a stage (failed/cancelled jobs still appear in the report).
+  /// After the first job failure, cancel every job that has not yet started
+  /// (failed/cancelled jobs still appear in the report).
   bool fail_fast = false;
 
   /// Run the verify stage (container read-back + decode + care-bit
@@ -37,14 +33,6 @@ struct EngineOptions {
 
   /// Directory prepended to relative job output paths ("" = CWD).
   std::string output_dir = {};
-
-  /// Pre-PR concurrency discipline, kept as the engine bench's measured
-  /// contention baseline: queues notify on every transfer whether or not a
-  /// waiter exists, stage workers move one job per queue lock round-trip,
-  /// and every stage sample is flushed to the shared locked registry per
-  /// job instead of once per worker. Results are identical either way —
-  /// only lock/futex traffic changes (reported via the queue.* counters).
-  bool contention_baseline = false;
 };
 
 /// Everything the batch knows about one finished job, in manifest order.
@@ -85,23 +73,28 @@ struct BatchResult {
 /// the CLI's per-job progress line.
 using CommitCallback = std::function<void(const JobOutcome&)>;
 
-/// Pipelined batch compression engine.
+/// Batch compression engine.
 ///
-/// A manifest of jobs flows through four stages — load (read or prepare the
-/// test set) → encode (don't-care-aware LZW) → containerize (TDCLZW1/2) →
-/// verify (read-back + decode + care-bit coverage) — each staffed by
-/// `workers` threads over bounded MPMC queues (exp::BoundedQueue), so a
-/// slow stage applies backpressure instead of buffering the whole batch.
-/// A reorder buffer commits results strictly in manifest order: output
-/// files are written and the commit callback fires in the same sequence for
-/// any worker count, and since every stage is deterministic per job, the
-/// committed bytes are too.
+/// Every job of a manifest runs to completion on one exp::ThreadPool worker:
+/// load (read or prepare the test set) → encode (don't-care-aware LZW, or
+/// per-chunk codec selection) → containerize (TDCLZW1/2/3) → verify
+/// (read-back + decode + care-bit coverage). Jobs are independent, so
+/// cross-job parallelism is all there is to gain; splitting a job into
+/// stages would only add hand-offs. The calling thread admits at most
+/// 2 * workers jobs that are queued or running, and commits finished jobs
+/// strictly in manifest order from a slot vector: output files are written
+/// and the commit callback fires in the same sequence for any worker count,
+/// and since every stage is deterministic per job, the committed bytes are
+/// too. A finished job waits in its slot holding only its outcome and
+/// container, so a slow head job never idles the other workers.
 ///
 /// Failures are isolated per job: a stage error (typed tdc::Error) marks
 /// that job failed and it skips its remaining stages, while the rest of the
-/// batch proceeds — unless fail-fast is on, which cancels all jobs that
-/// have not yet entered a stage. Every stage records counters
-/// (in/ok/fail/skip) and a latency histogram into the metrics registry.
+/// batch proceeds — unless fail-fast is on, which cancels every job that
+/// has not yet started (running jobs finish). Every stage records counters
+/// (in/ok/fail/skip) and a latency histogram into the metrics registry;
+/// the "engine.in_flight" gauge tracks admitted jobs and peaks at no more
+/// than 2 * workers.
 class Engine {
  public:
   /// `metrics` may be shared/external (benches); the engine owns a private
@@ -124,28 +117,20 @@ class Engine {
   MetricsRegistry* metrics_;
 };
 
-/// Adds one queue's contention counters into `m` as "queue.<name>.*" —
-/// shared by the batch engine (whole-run totals at the end of run()) and
-/// JobRunner::publish_queue_stats (live deltas mid-flight).
-void add_queue_stats(MetricsRegistry& m, const std::string& name,
-                     const exp::BoundedQueueStats& s);
-
-/// Persistent job-submission front end: the same load → encode →
-/// containerize → verify stages as Engine::run, staffed by a long-lived
-/// worker pool fed one JobSpec at a time instead of a whole manifest — the
-/// shape a request/response service needs. Each submitted job runs all its
-/// stages on one worker (requests are independent, so cross-job parallelism
-/// is what matters, not per-job pipelining), failures stay typed and
+/// Persistent job-submission front end: the same job body as Engine::run,
+/// on a long-lived exp::ThreadPool fed one JobSpec at a time instead of a
+/// whole manifest — the shape a request/response service needs. Each
+/// submitted job runs all its stages on one worker, failures stay typed and
 /// per-job, and the finished outcome (container bytes in
 /// JobOutcome::container — runner jobs never write output files) is handed
 /// to the submitter's callback on the worker thread.
 ///
 /// Backpressure is explicit: at most `max_in_flight` jobs may be queued or
 /// running; past that submit() refuses immediately (the caller maps this to
-/// a Busy rejection) instead of buffering unboundedly. Submission flows
-/// through a bounded MPMC queue whose contention counters are exposed live
-/// via publish_queue_stats() — not just after a run, the way the batch
-/// engine reports them.
+/// a Busy rejection) instead of buffering unboundedly. Because admission
+/// happens before the pool sees the job, the pool's queue never holds more
+/// than max_in_flight entries; its counters are exposed live as
+/// "queue.service.*" via publish_queue_stats().
 class JobRunner {
  public:
   struct Options {
@@ -186,28 +171,31 @@ class JobRunner {
   /// Blocks until every queued/running job has completed.
   void drain();
 
-  /// Publishes the submission queue's contention counters into the metrics
-  /// registry as "queue.service.*" deltas — callable at any time, so a
-  /// stats endpoint reports live numbers mid-flight.
+  /// Publishes the pool queue's counters into the metrics registry as
+  /// "queue.service.*" deltas — callable at any time, so a stats endpoint
+  /// reports live numbers mid-flight.
   void publish_queue_stats();
 
-  /// Snapshot of the submission queue's counters (tests, monitoring).
-  exp::BoundedQueueStats queue_stats() const;
+  /// Snapshot of the pool queue's counters (tests, monitoring).
+  exp::PoolStats queue_stats() const { return pool_.stats(); }
 
   /// Refuses new submissions, drains everything queued, joins the workers.
   /// Idempotent.
   void stop();
 
  private:
-  struct Item;
-  void worker_loop();
+  /// Admits one submission against max_in_flight, or counts a busy reject.
+  bool admit();
+  /// Releases the admission slot of a finished submission.
+  void finish();
 
   Options options_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_;
 
-  std::unique_ptr<exp::BoundedQueue<std::unique_ptr<Item>>> queue_;
-  std::vector<std::thread> workers_;
+  // Pre-resolved instruments and the job body; defined in engine.cpp.
+  struct RunnerState;
+  std::unique_ptr<RunnerState> state_;
 
   mutable core::Mutex mutex_;
   core::CondVar idle_;
@@ -215,11 +203,11 @@ class JobRunner {
   bool stopping_ TDC_GUARDED_BY(mutex_) = false;
 
   core::Mutex publish_mutex_;
-  exp::BoundedQueueStats published_ TDC_GUARDED_BY(publish_mutex_);
+  exp::PoolStats published_ TDC_GUARDED_BY(publish_mutex_);
 
-  // Pre-resolved instruments; private impl type defined in engine.cpp.
-  struct RunnerState;
-  std::unique_ptr<RunnerState> state_;
+  // Last member: its workers run jobs that use state_, so it must be
+  // joined (stop()) before anything above is destroyed.
+  exp::ThreadPool pool_;
 };
 
 }  // namespace tdc::engine

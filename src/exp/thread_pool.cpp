@@ -1,5 +1,6 @@
 #include "exp/thread_pool.h"
 
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -37,8 +38,17 @@ void ThreadPool::submit(std::function<void()> job) {
       throw std::runtime_error("ThreadPool: submit after shutdown");
     }
     queue_.push_back(std::move(job));
+    ++stats_.pushes;
+    if (queue_.size() > stats_.max_depth) stats_.max_depth = queue_.size();
   }
   work_ready_.notify_one();
+}
+
+PoolStats ThreadPool::stats() const {
+  core::MutexLock lock(mutex_);
+  PoolStats copy = stats_;
+  copy.depth = queue_.size();
+  return copy;
 }
 
 void ThreadPool::wait() {
@@ -65,10 +75,19 @@ void ThreadPool::worker_loop() {
     std::function<void()> job;
     {
       core::MutexLock lock(mutex_);
-      while (!stopping_ && queue_.empty()) work_ready_.wait(lock);
+      if (!stopping_ && queue_.empty()) {
+        ++stats_.pop_blocked;
+        const auto start = std::chrono::steady_clock::now();
+        while (!stopping_ && queue_.empty()) work_ready_.wait(lock);
+        stats_.pop_blocked_micros += static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count());
+      }
       if (queue_.empty()) return;  // stopping_ with a drained queue
       job = std::move(queue_.front());
       queue_.pop_front();
+      ++stats_.pops;
       ++in_flight_;
     }
     try {

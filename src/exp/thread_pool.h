@@ -2,6 +2,7 @@
 #define TDC_EXP_THREAD_POOL_H
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -13,15 +14,34 @@
 
 namespace tdc::exp {
 
-/// Fixed-size worker pool for the experiment flow: plain std::thread plus a
-/// mutex/condvar queue, no external dependencies. Independent (circuit,
-/// config) sweep points fan out across the workers; result ordering is the
-/// caller's job (see parallel_map, which collects by submission index so
-/// output is deterministic for any worker count).
+/// Queue counters of one ThreadPool, readable at any time via stats().
+/// pop_blocked counts worker waits that actually slept on an empty queue
+/// (a pop that finds work ready costs no clock read) and pop_blocked_micros
+/// their summed wall time. depth is the queue length at the stats() call,
+/// max_depth the longest it has ever been: the pair a `queue.<name>.depth`
+/// gauge exports as value + high-watermark.
+struct PoolStats {
+  std::uint64_t pushes = 0;
+  std::uint64_t pops = 0;
+  std::uint64_t pop_blocked = 0;
+  std::uint64_t pop_blocked_micros = 0;
+  std::uint64_t depth = 0;
+  std::uint64_t max_depth = 0;
+};
+
+/// Fixed-size worker pool: plain std::thread plus a mutex/condvar FIFO, no
+/// external dependencies. It is the repository's one job executor — sweep
+/// points (parallel_map), the batch engine's jobs (engine::Engine::run) and
+/// the daemon's requests (engine::JobRunner) all run to completion on one
+/// worker each. The queue itself is unbounded; callers that need a bound
+/// admit before they submit. Result ordering is the caller's job (see
+/// parallel_map, which collects by submission index so output is
+/// deterministic for any worker count).
 ///
 /// Concurrency contract (docs/ALGORITHMS.md §16): queue_, first_error_,
-/// in_flight_ and stopping_ are TDC_GUARDED_BY(mutex_); workers_ is only
-/// touched by the constructor and shutdown(), which the caller serializes.
+/// in_flight_, stopping_ and stats_ are TDC_GUARDED_BY(mutex_); workers_ is
+/// only touched by the constructor and shutdown(), which the caller
+/// serializes.
 class ThreadPool {
  public:
   /// Spawns `threads` workers; 0 means default_jobs().
@@ -50,6 +70,10 @@ class ThreadPool {
   /// swallows any still-unclaimed job exception (destructors must not throw).
   void shutdown() TDC_EXCLUDES(mutex_);
 
+  /// Copy of the queue counters, consistent under the pool lock; still
+  /// readable after shutdown().
+  PoolStats stats() const TDC_EXCLUDES(mutex_);
+
   /// Worker count when none is requested: $TDC_JOBS if set and positive,
   /// else hardware_concurrency() (at least 1).
   static unsigned default_jobs();
@@ -57,7 +81,7 @@ class ThreadPool {
  private:
   void worker_loop() TDC_EXCLUDES(mutex_);
 
-  core::Mutex mutex_;
+  mutable core::Mutex mutex_;
   core::CondVar work_ready_;
   core::CondVar all_done_;
   std::deque<std::function<void()>> queue_ TDC_GUARDED_BY(mutex_);
@@ -65,6 +89,7 @@ class ThreadPool {
   std::exception_ptr first_error_ TDC_GUARDED_BY(mutex_);
   std::size_t in_flight_ TDC_GUARDED_BY(mutex_) = 0;
   bool stopping_ TDC_GUARDED_BY(mutex_) = false;
+  PoolStats stats_ TDC_GUARDED_BY(mutex_);  ///< depth is stamped by stats()
 };
 
 /// Applies `fn` to every element of `items` across the pool and returns the

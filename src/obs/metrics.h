@@ -201,9 +201,8 @@ class Histogram {
     data_.add(value);
   }
 
-  /// Folds a whole pre-accumulated snapshot in under one lock acquisition —
-  /// how a worker's LocalHistogram shard publishes at thread exit, replacing
-  /// a lock round-trip per sample with one per worker.
+  /// Folds a whole pre-accumulated snapshot (e.g. a LocalHistogram's) in
+  /// under one lock acquisition instead of one per sample.
   void merge(const Snapshot& other) {
     core::MutexLock lock(mutex_);
     data_.merge(other);

@@ -129,6 +129,12 @@ if "$CLI" batch "$WORK/invalid.manifest" 2>"$WORK/invalid.txt"; then
 fi
 grep -q "line 2" "$WORK/invalid.txt"
 
+# The batch engine has no queues to size: --queue is an unknown flag.
+if "$CLI" batch "$WORK/batch.manifest" --queue 4 2>"$WORK/queue.txt"; then
+  echo "batch accepted --queue" >&2; exit 1
+fi
+grep -q "unknown flag: --queue" "$WORK/queue.txt"
+
 # Telemetry stats surface: per-stream JSON, byte-deterministic across runs.
 "$CLI" stats "$WORK/c.tests" --dict 256 --out "$WORK/s1.json"
 "$CLI" stats "$WORK/c.tests" --dict 256 --out "$WORK/s2.json"

@@ -1,7 +1,8 @@
 // Concurrency stress for the batch engine, built to run under
 // ThreadSanitizer (the CI tsan job executes exactly this binary): many
-// small jobs through deliberately tiny queues at high worker counts, with
-// failures mixed in, repeated enough times to shake out rare interleavings.
+// tiny jobs at oversubscribed worker counts, so admission, in-order commit
+// and the pool's queue are contended on every job, with failures mixed in,
+// repeated enough times to shake out rare interleavings.
 //
 // Assertions here are intentionally coarse — counts and determinism, not
 // ratios — because the point is the absence of data races, deadlocks and
@@ -37,7 +38,7 @@ std::shared_ptr<const scan::TestSet> tiny_tests(std::uint64_t seed) {
 }
 
 /// Worker count under test: $TDC_JOBS if set (the CI job exports 8), else 8
-/// — always oversubscribed relative to the queues' capacity of 1.
+/// — oversubscribed relative to the cores of a typical CI runner.
 unsigned stress_workers() {
   if (const char* env = std::getenv("TDC_JOBS"); env != nullptr && *env != '\0') {
     const int n = std::atoi(env);
@@ -72,7 +73,6 @@ TEST(EngineStressTest, SaturatedTinyQueuesLoseNoJobs) {
   const Manifest manifest = stress_manifest(64, /*with_failures=*/false);
   EngineOptions options;
   options.workers = stress_workers();
-  options.queue_capacity = 1;  // maximum contention on every hand-off
   for (int round = 0; round < 3; ++round) {
     Engine eng(options);
     const BatchResult result = eng.run(manifest);
@@ -92,7 +92,6 @@ TEST(EngineStressTest, MixedFailuresStayIsolatedUnderContention) {
 
   EngineOptions options;
   options.workers = stress_workers();
-  options.queue_capacity = 1;
   std::string first_report;
   for (int round = 0; round < 3; ++round) {
     Engine eng(options);
@@ -113,7 +112,6 @@ TEST(EngineStressTest, FailFastRacesResolveCleanly) {
   Manifest manifest = stress_manifest(48, /*with_failures=*/true);
   EngineOptions options;
   options.workers = stress_workers();
-  options.queue_capacity = 1;
   options.fail_fast = true;
   for (int round = 0; round < 3; ++round) {
     Engine eng(options);

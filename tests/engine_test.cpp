@@ -1,6 +1,6 @@
-// Tests for the batch compression engine: the bounded MPMC queue it is
-// built on, the metrics registry, the manifest format, and the pipeline
-// itself — the jobs=1 vs jobs=N byte-identical determinism golden, per-job
+// Tests for the batch compression engine: the metrics registry, the
+// manifest format, and the engine itself — the jobs=1 vs jobs=N
+// byte-identical determinism golden, the in-flight admission bound, per-job
 // failure isolation, fail-fast cancellation, and in-order commit.
 #include <gtest/gtest.h>
 
@@ -23,289 +23,11 @@
 #include "engine/engine.h"
 #include "engine/manifest.h"
 #include "engine/metrics.h"
-#include "exp/bounded_queue.h"
 #include "scan/testset.h"
 #include "scan/testset_io.h"
 
 namespace tdc::engine {
 namespace {
-
-// ---------------------------------------------------------------- queue
-
-TEST(BoundedQueueTest, DeliversInFifoOrder) {
-  exp::BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.push(i));
-  for (int i = 0; i < 5; ++i) {
-    const std::optional<int> v = q.pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-}
-
-TEST(BoundedQueueTest, ZeroCapacityClampsToOne) {
-  exp::BoundedQueue<int> q(0);
-  EXPECT_EQ(q.capacity(), 1u);
-}
-
-TEST(BoundedQueueTest, FullQueueBlocksProducerUntilPop) {
-  exp::BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  std::atomic<bool> second_pushed{false};
-  std::thread producer([&] {
-    q.push(2);
-    second_pushed.store(true);
-  });
-  // The producer must be stuck on the full queue (backpressure).
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(second_pushed.load());
-  EXPECT_EQ(q.pop().value_or(-1), 1);
-  producer.join();
-  EXPECT_TRUE(second_pushed.load());
-  EXPECT_EQ(q.pop().value_or(-1), 2);
-}
-
-TEST(BoundedQueueTest, CloseDrainsQueuedItemsThenSignalsEnd) {
-  exp::BoundedQueue<int> q(4);
-  ASSERT_TRUE(q.push(1));
-  ASSERT_TRUE(q.push(2));
-  q.close();
-  EXPECT_FALSE(q.push(3));  // rejected after close
-  EXPECT_EQ(q.pop().value_or(-1), 1);
-  EXPECT_EQ(q.pop().value_or(-1), 2);
-  EXPECT_FALSE(q.pop().has_value());
-  EXPECT_FALSE(q.pop().has_value());  // stays closed
-}
-
-TEST(BoundedQueueTest, CloseUnblocksWaitingConsumer) {
-  exp::BoundedQueue<int> q(4);
-  std::atomic<bool> saw_end{false};
-  std::thread consumer([&] {
-    if (!q.pop().has_value()) saw_end.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.close();
-  consumer.join();
-  EXPECT_TRUE(saw_end.load());
-}
-
-TEST(BoundedQueueTest, ManyProducersManyConsumersLoseNothing) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int kPerProducer = 250;
-  exp::BoundedQueue<int> q(3);  // small on purpose: constant backpressure
-  std::atomic<long long> sum{0};
-  std::atomic<int> popped{0};
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.push(p * kPerProducer + i);
-    });
-  }
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      while (const std::optional<int> v = q.pop()) {
-        sum.fetch_add(*v);
-        popped.fetch_add(1);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  q.close();
-  for (auto& t : consumers) t.join();
-
-  const int total = kProducers * kPerProducer;
-  EXPECT_EQ(popped.load(), total);
-  EXPECT_EQ(sum.load(), static_cast<long long>(total) * (total - 1) / 2);
-}
-
-TEST(BoundedQueueTest, PushAllPreservesOrderAcrossCapacityChunks) {
-  exp::BoundedQueue<int> q(3);  // batch (10) >> capacity: forces chunking
-  std::vector<int> batch;
-  for (int i = 0; i < 10; ++i) batch.push_back(i);
-  std::vector<int> seen;
-  std::thread consumer([&] {
-    while (const std::optional<int> v = q.pop()) seen.push_back(*v);
-  });
-  EXPECT_EQ(q.push_all(std::move(batch)), 10u);
-  q.close();
-  consumer.join();
-  ASSERT_EQ(seen.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(seen[i], i);
-  const auto st = q.stats();
-  EXPECT_EQ(st.pushes, 10u);
-  EXPECT_EQ(st.batch_pushes, 1u);  // one call, however many chunks
-}
-
-TEST(BoundedQueueTest, PushAllStopsAtCloseAndReportsAccepted) {
-  exp::BoundedQueue<int> q(2);
-  std::thread closer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    q.close();
-  });
-  // Nobody pops, so the batch fills the queue to capacity, blocks, and the
-  // remainder must be dropped when close() lands — exactly push()'s contract.
-  const std::size_t accepted = q.push_all({1, 2, 3, 4, 5});
-  closer.join();
-  EXPECT_EQ(accepted, 2u);
-  EXPECT_EQ(q.pop().value_or(-1), 1);
-  EXPECT_EQ(q.pop().value_or(-1), 2);
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(BoundedQueueTest, PopUpToDrainsInOneCallAndSignalsClose) {
-  exp::BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.push(i));
-  std::vector<int> out;
-  EXPECT_EQ(q.pop_up_to(3, out), 3u);
-  EXPECT_EQ(q.pop_up_to(10, out), 2u);  // takes what's there, not max
-  ASSERT_EQ(out.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(out[i], i);
-  q.close();
-  EXPECT_EQ(q.pop_up_to(4, out), 0u);  // closed + drained
-  const auto st = q.stats();
-  EXPECT_EQ(st.pops, 5u);
-  EXPECT_EQ(st.batch_pops, 2u);
-}
-
-TEST(BoundedQueueTest, StatsCountSkippedNotifiesAndBlockedWaits) {
-  exp::BoundedQueue<int> lazy(4);
-  // Uncontended hand-off: nobody is waiting, so every notify is skipped.
-  ASSERT_TRUE(lazy.push(1));
-  ASSERT_TRUE(lazy.push(2));
-  EXPECT_TRUE(lazy.pop().has_value());
-  EXPECT_TRUE(lazy.pop().has_value());
-  auto st = lazy.stats();
-  EXPECT_EQ(st.notifies_sent, 0u);
-  EXPECT_EQ(st.notifies_skipped, 4u);  // 2 pushes + 2 pops
-  EXPECT_EQ(st.push_blocked, 0u);
-  EXPECT_EQ(st.pop_blocked, 0u);
-  EXPECT_EQ(st.blocked_micros(), 0u);
-
-  // The same traffic on an eager_notify queue notifies unconditionally —
-  // the pre-PR behavior the engine's contention baseline measures against.
-  exp::BoundedQueue<int> eager(4, /*eager_notify=*/true);
-  ASSERT_TRUE(eager.push(1));
-  EXPECT_TRUE(eager.pop().has_value());
-  st = eager.stats();
-  EXPECT_EQ(st.notifies_sent, 2u);
-  EXPECT_EQ(st.notifies_skipped, 0u);
-
-  // A consumer that really sleeps is counted, and its wakeup notify is sent.
-  exp::BoundedQueue<int> blocked(4);
-  std::thread consumer([&] { EXPECT_EQ(blocked.pop().value_or(-1), 7); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  ASSERT_TRUE(blocked.push(7));
-  consumer.join();
-  st = blocked.stats();
-  EXPECT_EQ(st.pop_blocked, 1u);
-  EXPECT_EQ(st.notifies_sent, 1u);  // the push that woke the sleeper
-}
-
-// Contention stress: batch producers and batch consumers hammer a tiny
-// queue; every item must come out exactly once, and the waiter-counting
-// notify discipline must not strand a sleeper (a lost wakeup hangs this
-// test, which is the regression signal).
-TEST(BoundedQueueTest, BatchOpsUnderContentionLoseNothing) {
-  constexpr int kProducers = 3;
-  constexpr int kConsumers = 3;
-  constexpr int kPerProducer = 400;
-  for (const bool eager : {false, true}) {
-    exp::BoundedQueue<int> q(2, eager);
-    std::mutex seen_mutex;
-    std::vector<int> seen;
-
-    std::vector<std::thread> threads;
-    for (int p = 0; p < kProducers; ++p) {
-      threads.emplace_back([&q, p] {
-        bits::Rng rng(1000 + p);
-        int i = 0;
-        while (i < kPerProducer) {
-          const int chunk = static_cast<int>(1 + rng.below(7));
-          std::vector<int> batch;
-          for (int k = 0; k < chunk && i < kPerProducer; ++k, ++i) {
-            batch.push_back(p * kPerProducer + i);
-          }
-          q.push_all(std::move(batch));
-        }
-      });
-    }
-    for (int c = 0; c < kConsumers; ++c) {
-      threads.emplace_back([&] {
-        std::vector<int> got;
-        while (q.pop_up_to(4, got) > 0) {
-          std::unique_lock lock(seen_mutex);
-          seen.insert(seen.end(), got.begin(), got.end());
-          got.clear();
-        }
-      });
-    }
-    for (int p = 0; p < kProducers; ++p) threads[p].join();
-    q.close();
-    for (std::size_t t = kProducers; t < threads.size(); ++t) threads[t].join();
-
-    const int total = kProducers * kPerProducer;
-    ASSERT_EQ(seen.size(), static_cast<std::size_t>(total)) << "eager=" << eager;
-    std::sort(seen.begin(), seen.end());
-    for (int i = 0; i < total; ++i) {
-      ASSERT_EQ(seen[i], i) << "eager=" << eager;  // exactly once, none lost
-    }
-    const auto st = q.stats();
-    EXPECT_EQ(st.pushes, static_cast<std::uint64_t>(total));
-    EXPECT_EQ(st.pops, static_cast<std::uint64_t>(total));
-    if (eager) {
-      EXPECT_EQ(st.notifies_skipped, 0u);
-    }
-  }
-}
-
-// Annotation-consistency hammer: stats() snapshots race full push/pop
-// traffic and a close(). The snapshot copies under the same core::Mutex
-// the TDC_GUARDED_BY annotations name, so under TSan this test proves the
-// declared locking contract matches the real one; without TSan it still
-// pins snapshot monotonicity and final conservation.
-TEST(BoundedQueueTest, StatsSnapshotsRaceWithTraffic) {
-  constexpr int kProducers = 2;
-  constexpr int kPerProducer = 300;
-  exp::BoundedQueue<int> q(2);
-  std::atomic<bool> done{false};
-  std::atomic<int> popped{0};
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.push(p * kPerProducer + i);
-    });
-  }
-  threads.emplace_back([&] {
-    while (q.pop().has_value()) popped.fetch_add(1);
-  });
-  std::thread reader([&] {
-    std::uint64_t last_pushes = 0;
-    std::uint64_t last_pops = 0;
-    while (!done.load()) {
-      const auto st = q.stats();
-      EXPECT_GE(st.pushes, last_pushes);  // monotone under the lock
-      EXPECT_GE(st.pops, last_pops);
-      EXPECT_GE(st.pushes, st.pops);  // never popped more than pushed
-      last_pushes = st.pushes;
-      last_pops = st.pops;
-      std::this_thread::yield();
-    }
-  });
-  for (int p = 0; p < kProducers; ++p) threads[p].join();
-  q.close();
-  threads.back().join();
-  done.store(true);
-  reader.join();
-
-  const int total = kProducers * kPerProducer;
-  EXPECT_EQ(popped.load(), total);
-  const auto st = q.stats();
-  EXPECT_EQ(st.pushes, static_cast<std::uint64_t>(total));
-  EXPECT_EQ(st.pops, static_cast<std::uint64_t>(total));
-}
 
 // -------------------------------------------------------------- metrics
 
@@ -480,11 +202,9 @@ Manifest inline_manifest() {
   return manifest;
 }
 
-BatchResult run_with_workers(const Manifest& manifest, unsigned workers,
-                             std::size_t queue_capacity = 0) {
+BatchResult run_with_workers(const Manifest& manifest, unsigned workers) {
   EngineOptions options;
   options.workers = workers;
-  options.queue_capacity = queue_capacity;
   Engine eng(options);
   return eng.run(manifest);
 }
@@ -498,7 +218,7 @@ TEST(EngineTest, BatchIsByteIdenticalForAnyWorkerCount) {
   ASSERT_EQ(serial.ok_count(), manifest.jobs.size());
 
   for (const unsigned workers : {3u, 8u}) {
-    const BatchResult parallel = run_with_workers(manifest, workers, 2);
+    const BatchResult parallel = run_with_workers(manifest, workers);
     ASSERT_EQ(parallel.jobs.size(), serial.jobs.size());
     for (std::size_t i = 0; i < serial.jobs.size(); ++i) {
       const JobOutcome& a = serial.jobs[i];
@@ -515,27 +235,27 @@ TEST(EngineTest, BatchIsByteIdenticalForAnyWorkerCount) {
   }
 }
 
-/// contention_baseline swaps the queue/metrics discipline (eager notifies,
-/// per-item transfers, per-job registry flushes) but must never change what
-/// the batch produces — it exists so the engine bench compares like with
-/// like.
-TEST(EngineTest, ContentionBaselineModeIsByteIdentical) {
-  const Manifest manifest = inline_manifest();
-  BatchResult results[2];
-  for (const bool baseline : {false, true}) {
-    EngineOptions options;
-    options.workers = 3;
-    options.queue_capacity = 2;
-    options.contention_baseline = baseline;
-    Engine eng(options);
-    results[baseline ? 1 : 0] = eng.run(manifest);
+/// The admission bound: however long the manifest, no more than
+/// 2 * workers jobs are ever queued or running at once. Finished jobs that
+/// wait for an earlier slot to commit do not count against it.
+TEST(EngineTest, AdmitsAtMostTwiceTheWorkerCount) {
+  constexpr unsigned kWorkers = 3;
+  Manifest manifest;
+  for (unsigned i = 0; i < 8 * kWorkers; ++i) {
+    JobSpec spec;
+    spec.name = "admit" + std::to_string(i);
+    spec.inline_tests = synthetic_tests(700 + i, 1024);
+    spec.config = lzw::LzwConfig{.dict_size = 256, .char_bits = 7, .entry_bits = 63};
+    manifest.jobs.push_back(std::move(spec));
   }
-  ASSERT_EQ(results[0].jobs.size(), results[1].jobs.size());
-  for (std::size_t i = 0; i < results[0].jobs.size(); ++i) {
-    EXPECT_TRUE(results[1].jobs[i].status.ok());
-    EXPECT_EQ(results[0].jobs[i].container, results[1].jobs[i].container);
-  }
-  EXPECT_EQ(results[0].report(), results[1].report());
+  MetricsRegistry registry;
+  Engine eng(EngineOptions{.workers = kWorkers}, &registry);
+  const BatchResult result = eng.run(manifest);
+  ASSERT_EQ(result.ok_count(), manifest.jobs.size());
+  const obs::Gauge& in_flight = registry.gauge("engine.in_flight");
+  EXPECT_EQ(in_flight.value(), 0);  // every admitted job finished
+  EXPECT_GE(in_flight.peak(), 1);
+  EXPECT_LE(in_flight.peak(), static_cast<std::int64_t>(2 * kWorkers));
 }
 
 TEST(EngineTest, WritesOutputFilesIdenticallyForAnyWorkerCount) {
@@ -633,7 +353,6 @@ TEST(EngineTest, FailFastCancelsPendingJobs) {
 
   EngineOptions options;
   options.workers = 1;
-  options.queue_capacity = 1;
   options.fail_fast = true;
   Engine eng(options);
   const BatchResult result = eng.run(manifest);
@@ -641,8 +360,8 @@ TEST(EngineTest, FailFastCancelsPendingJobs) {
   ASSERT_EQ(result.jobs.size(), manifest.jobs.size());
   EXPECT_EQ(result.failed_count(), 1u);
   EXPECT_FALSE(result.jobs[0].ok());
-  // With one worker and capacity-1 queues, most of the batch never enters
-  // the pipeline; exact counts depend on in-flight depth at failure time.
+  // With one worker at most two jobs are admitted when the first fails, so
+  // most of the batch never starts; exact counts depend on timing.
   EXPECT_GT(result.cancelled_count(), 0u);
   EXPECT_EQ(result.ok_count() + result.failed_count() + result.cancelled_count(),
             result.jobs.size());
@@ -657,7 +376,6 @@ TEST(EngineTest, CommitCallbackFiresInManifestOrder) {
   const Manifest manifest = inline_manifest();
   EngineOptions options;
   options.workers = 4;
-  options.queue_capacity = 2;
   Engine eng(options);
   std::vector<std::string> committed;
   const BatchResult result =
@@ -747,7 +465,7 @@ TEST(JobRunnerTest, ProducesTheSameBytesAsABatchRun) {
     const JobOutcome outcome = run_one(runner, manifest.jobs[i]);
     ASSERT_TRUE(outcome.ok()) << outcome.status.error().describe();
     // One-at-a-time submission through the persistent pool commits the very
-    // bytes the batch pipeline committed — the service daemon's determinism
+    // bytes the batch run committed — the service daemon's determinism
     // contract with the offline CLI.
     EXPECT_EQ(outcome.container, batch.jobs[i].container);
     EXPECT_EQ(outcome.config_summary, batch.jobs[i].config_summary);

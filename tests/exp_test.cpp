@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "exp/flow.h"
 #include "exp/table.h"
@@ -147,9 +152,16 @@ TEST(FlowTest, CacheDirHonorsEnvironment) {
   EXPECT_EQ(exp::cache_dir(), "tdc_cache");
 }
 
+/// A cache directory of this test process's own: ctest runs every case as
+/// its own process, in parallel under -j.
+std::string private_cache_dir(const std::string& name) {
+  return (std::filesystem::temp_directory_path() /
+          (name + "_" + std::to_string(::getpid())))
+      .string();
+}
+
 TEST(FlowTest, PrepareCachesAndReloads) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "tdc_flow_prepare").string();
+  const std::string dir = private_cache_dir("tdc_flow_prepare");
   std::filesystem::remove_all(dir);
   ::setenv("TDC_CACHE_DIR", dir.c_str(), 1);
 
@@ -163,6 +175,36 @@ TEST(FlowTest, PrepareCachesAndReloads) {
   EXPECT_EQ(second.tests.cubes, first.tests.cubes);
   // The coverage side-file stores limited precision.
   EXPECT_NEAR(second.fault_coverage, first.fault_coverage, 1e-3);
+
+  ::unsetenv("TDC_CACHE_DIR");
+  std::filesystem::remove_all(dir);
+}
+
+/// Concurrent fills of one cache entry: every writer renames a complete
+/// file into place, so each thread — whether it ran ATPG or read another
+/// thread's result — gets the same cubes, and no temp file survives.
+TEST(FlowTest, ConcurrentPreparesAgreeAndLeaveNoTempFiles) {
+  const std::string dir = private_cache_dir("tdc_flow_concurrent");
+  std::filesystem::remove_all(dir);
+  ::setenv("TDC_CACHE_DIR", dir.c_str(), 1);
+
+  constexpr int kThreads = 4;
+  std::vector<scan::TestSet> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&results, t] { results[t] = exp::prepare("itc_b09f").tests; });
+  }
+  for (auto& th : threads) th.join();
+
+  ASSERT_GT(results[0].pattern_count(), 0u);
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(results[t].cubes, results[0].cubes);
+  EXPECT_EQ(exp::prepare("itc_b09f").tests.cubes, results[0].cubes);
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"itc_b09f.coverage", "itc_b09f.tests"}));
 
   ::unsetenv("TDC_CACHE_DIR");
   std::filesystem::remove_all(dir);

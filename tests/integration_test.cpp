@@ -4,8 +4,11 @@
 // the delivered vectors.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <filesystem>
+#include <string>
 
 #include "atpg/atpg.h"
 #include "codec/lz77.h"
@@ -24,7 +27,11 @@ namespace {
 class IntegrationTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = (std::filesystem::temp_directory_path() / "tdc_integration").string();
+    // ctest runs every case as its own process, in parallel under -j: each
+    // process gets its own cache directory to fill and remove.
+    dir_ = (std::filesystem::temp_directory_path() /
+            ("tdc_integration_" + std::to_string(::getpid())))
+               .string();
     std::filesystem::remove_all(dir_);
     ::setenv("TDC_CACHE_DIR", dir_.c_str(), 1);
     profile_ = new gen::CircuitProfile(gen::find_profile("itc_b13f"));

@@ -1,14 +1,19 @@
-// Tests for the parallel experiment flow: the fixed thread pool, the
-// order-preserving parallel_map sweep primitive, and the --jobs / $TDC_JOBS
-// resolution — including the determinism guarantee that a table built from
-// a sweep is identical for any worker count.
+// Tests for the job executor and the parallel experiment flow: the fixed
+// thread pool and its queue counters, the order-preserving parallel_map
+// sweep primitive, and the --jobs / $TDC_JOBS resolution — including the
+// determinism guarantee that a table built from a sweep is identical for
+// any worker count.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exp/flow.h"
@@ -75,6 +80,148 @@ TEST(ThreadPoolTest, SubmitAfterShutdownThrows) {
                std::runtime_error);
   EXPECT_EQ(count.load(), 1);
   pool.shutdown();  // idempotent
+}
+
+TEST(ThreadPoolTest, SingleWorkerRunsJobsInSubmissionOrder) {
+  ThreadPool pool(1);
+  std::vector<int> seen;  // one worker: no synchronization needed
+  for (int i = 0; i < 5; ++i) pool.submit([&seen, i] { seen.push_back(i); });
+  pool.wait();
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+/// shutdown() while jobs are still queued behind a busy worker: every
+/// queued job runs, in order, before the workers exit.
+TEST(ThreadPoolTest, ShutdownDrainsQueuedJobs) {
+  ThreadPool pool(1);
+  std::mutex m;
+  std::condition_variable cv;
+  bool release = false;
+  std::vector<int> seen;
+  pool.submit([&] {
+    std::unique_lock lock(m);
+    cv.wait(lock, [&] { return release; });
+    seen.push_back(0);
+  });
+  for (int i = 1; i < 4; ++i) pool.submit([&seen, i] { seen.push_back(i); });
+  std::thread stopper([&pool] { pool.shutdown(); });
+  {
+    std::lock_guard lock(m);
+    release = true;
+  }
+  cv.notify_all();
+  stopper.join();
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_THROW(pool.submit([] {}), std::runtime_error);
+  EXPECT_EQ(pool.stats().depth, 0u);
+}
+
+/// Idle workers sleep on the empty queue; shutdown() must wake and join
+/// them, and each sleep is counted as a blocked pop.
+TEST(ThreadPoolTest, ShutdownWakesIdleWorkers) {
+  ThreadPool pool(4);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  pool.shutdown();
+  const PoolStats st = pool.stats();
+  EXPECT_GE(st.pop_blocked, 1u);
+  EXPECT_EQ(st.pushes, 0u);
+  EXPECT_EQ(st.pops, 0u);
+}
+
+TEST(ThreadPoolTest, StatsCountBlockedWaits) {
+  ThreadPool pool(1);
+  // The worker finds the queue empty and sleeps until the submit.
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  std::atomic<int> ran{0};
+  pool.submit([&ran] { ran.fetch_add(1); });
+  pool.wait();
+  EXPECT_EQ(ran.load(), 1);
+  const PoolStats st = pool.stats();
+  EXPECT_EQ(st.pushes, 1u);
+  EXPECT_EQ(st.pops, 1u);
+  EXPECT_GE(st.pop_blocked, 1u);
+  EXPECT_GE(st.pop_blocked_micros, 1000u);  // slept through the 30 ms
+  EXPECT_EQ(st.depth, 0u);
+  EXPECT_EQ(st.max_depth, 1u);
+}
+
+/// No-loss hammer: several threads submit concurrently while every worker
+/// drains; each job runs exactly once and the counters conserve. A lost
+/// wakeup hangs wait(), which is the regression signal.
+TEST(ThreadPoolTest, ManyProducersManyWorkersLoseNothing) {
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 250;
+  ThreadPool pool(4);
+  std::atomic<long long> sum{0};
+  std::atomic<int> ran{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        const int v = p * kPerProducer + i;
+        pool.submit([&sum, &ran, v] {
+          sum.fetch_add(v);
+          ran.fetch_add(1);
+        });
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  pool.wait();
+
+  const int total = kProducers * kPerProducer;
+  EXPECT_EQ(ran.load(), total);
+  EXPECT_EQ(sum.load(), static_cast<long long>(total) * (total - 1) / 2);
+  const PoolStats st = pool.stats();
+  EXPECT_EQ(st.pushes, static_cast<std::uint64_t>(total));
+  EXPECT_EQ(st.pops, static_cast<std::uint64_t>(total));
+  EXPECT_EQ(st.depth, 0u);
+}
+
+// Annotation-consistency hammer: stats() snapshots race submit/run traffic
+// and a shutdown(). The snapshot copies under the same core::Mutex the
+// TDC_GUARDED_BY annotations name, so under TSan this test proves the
+// declared locking contract matches the real one; without TSan it still
+// pins snapshot monotonicity and final conservation.
+TEST(ThreadPoolTest, StatsSnapshotsRaceWithTraffic) {
+  constexpr int kProducers = 2;
+  constexpr int kPerProducer = 300;
+  ThreadPool pool(2);
+  std::atomic<bool> done{false};
+  std::atomic<int> ran{0};
+
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        pool.submit([&ran] { ran.fetch_add(1); });
+      }
+    });
+  }
+  std::thread reader([&] {
+    std::uint64_t last_pushes = 0;
+    std::uint64_t last_pops = 0;
+    while (!done.load()) {
+      const PoolStats st = pool.stats();
+      EXPECT_GE(st.pushes, last_pushes);  // monotone under the lock
+      EXPECT_GE(st.pops, last_pops);
+      EXPECT_GE(st.pushes, st.pops);  // never ran more than submitted
+      EXPECT_EQ(st.depth, st.pushes - st.pops);
+      last_pushes = st.pushes;
+      last_pops = st.pops;
+      std::this_thread::yield();
+    }
+  });
+  for (auto& t : producers) t.join();
+  pool.shutdown();
+  done.store(true);
+  reader.join();
+
+  const int total = kProducers * kPerProducer;
+  EXPECT_EQ(ran.load(), total);
+  const PoolStats st = pool.stats();
+  EXPECT_EQ(st.pushes, static_cast<std::uint64_t>(total));
+  EXPECT_EQ(st.pops, static_cast<std::uint64_t>(total));
 }
 
 TEST(ParallelMapTest, PreservesInputOrder) {
