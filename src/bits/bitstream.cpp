@@ -1,7 +1,11 @@
 #include "bits/bitstream.h"
 
+#include <bit>
 #include <cassert>
 #include <cstring>
+#include <string>
+
+#include "core/error.h"
 
 namespace tdc::bits {
 
@@ -71,10 +75,32 @@ bool BitWriter::bit_at(std::size_t i) const {
   return (bytes_[i / 8] >> (7 - (i % 8))) & 1u;
 }
 
+namespace {
+
+[[noreturn]] void read_past_end(std::size_t pos, std::size_t width, std::size_t count) {
+  Error{ErrorKind::InvalidInput, "BitReader: " + std::to_string(width) +
+                                     "-bit read at bit " + std::to_string(pos) +
+                                     " of a " + std::to_string(count) + "-bit stream"}
+      .raise();
+}
+
+}  // namespace
+
 std::uint64_t BitReader::read(unsigned width) {
   assert(width <= 64);
-  assert(width <= remaining());
+  if (width > remaining()) read_past_end(pos_, width, bit_count_);
   const std::uint8_t* data = bytes_->data();
+  // Fast path: one unaligned big-endian word load covers the whole field
+  // whenever eight bytes remain in the buffer.
+  const std::size_t byte = pos_ / 8;
+  const unsigned skip = static_cast<unsigned>(pos_ % 8);
+  if (width != 0 && width + skip <= 64 && byte + 8 <= bytes_->size()) {
+    std::uint64_t word;
+    std::memcpy(&word, data + byte, sizeof word);
+    if constexpr (std::endian::native == std::endian::little) word = byteswap64(word);
+    pos_ += width;
+    return (word << skip) >> (64 - width);
+  }
   std::uint64_t v = 0;
   unsigned rem = width;
   while (rem > 0) {
@@ -91,7 +117,7 @@ std::uint64_t BitReader::read(unsigned width) {
 }
 
 bool BitReader::read_bit() {
-  assert(pos_ < bit_count_);
+  if (pos_ >= bit_count_) read_past_end(pos_, 1, bit_count_);
   const bool b = ((*bytes_)[pos_ / 8] >> (7 - (pos_ % 8))) & 1u;
   ++pos_;
   return b;

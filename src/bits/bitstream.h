@@ -104,12 +104,14 @@ class BitReader {
   /// True when every bit has been consumed.
   bool exhausted() const { return pos_ >= bit_count_; }
 
-  /// Reads the next `width` bits as an MSB-first unsigned value, one byte
-  /// chunk at a time (not per bit). Precondition: width <= 64 and
-  /// width <= remaining().
+  /// Reads the next `width` bits as an MSB-first unsigned value: one word
+  /// load, or a byte chunk at a time near the end of the buffer.
+  /// Precondition: width <= 64. Throws Error{InvalidInput} when fewer than
+  /// `width` bits remain, so a decoder of damaged bytes fails typed instead
+  /// of reading past the buffer.
   std::uint64_t read(unsigned width);
 
-  /// Reads one bit.
+  /// Reads one bit; throws like read() at the end of the stream.
   bool read_bit();
 
   /// Current cursor position in bits from the start.

@@ -8,7 +8,7 @@ namespace tdc::bits::simd {
 
 /// Bulk kernels over packed 64-bit bit-plane arrays — the word-at-a-time
 /// bodies of TritVector's care_count / compatible_with / covered_by /
-/// merge_in. Every kernel is an exact bitwise computation, so the SIMD and
+/// merge_in / from_string. Every kernel is an exact bitwise computation, so the SIMD and
 /// scalar variants are bit-identical by construction (pinned by the
 /// SimdKernels property tests); vectorization changes speed, never results.
 ///
@@ -45,6 +45,15 @@ void planes_merge(std::uint64_t* care_a, std::uint64_t* value_a,
                   const std::uint64_t* care_b, const std::uint64_t* value_b,
                   std::size_t n);
 
+/// Packs `n` textual trits into the two planes: '0' and '1' set the care
+/// bit (and '1' the value bit), 'x', 'X' and '-' leave both bits 0. Writes
+/// all ceil(n/64) words of each plane, bits past `n` zeroed (normal form).
+/// Returns false iff some character is none of those five; the planes are
+/// then unspecified and the caller locates the first bad character itself.
+/// The text -> bit-plane boundary of every `.tests` parse.
+bool pack_trit_chars(const char* chars, std::size_t n, std::uint64_t* care,
+                     std::uint64_t* value);
+
 namespace detail {
 
 /// The scalar reference kernels, always compiled; exposed so the property
@@ -61,6 +70,8 @@ bool planes_uncovered_scalar(const std::uint64_t* care_a,
 void planes_merge_scalar(std::uint64_t* care_a, std::uint64_t* value_a,
                          const std::uint64_t* care_b,
                          const std::uint64_t* value_b, std::size_t n);
+bool pack_trit_chars_scalar(const char* chars, std::size_t n,
+                            std::uint64_t* care, std::uint64_t* value);
 
 }  // namespace detail
 

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <immintrin.h>
 
+#include "bits/simd.h"
+
 namespace tdc::bits::simd::detail {
 
 namespace {
@@ -105,6 +107,48 @@ void planes_merge_avx2(std::uint64_t* care_a, std::uint64_t* value_a,
     value_a[i] |= value_b[i] & ~care_a[i];
     care_a[i] |= care_b[i];
   }
+}
+
+bool pack_trit_chars_avx2(const char* chars, std::size_t n,
+                          std::uint64_t* care, std::uint64_t* value) {
+  // 32 characters per compare: '0'/'1' give the care mask, '1' the value
+  // mask, and every byte must also match one of the don't-care spellings
+  // ('x' and 'X' differ only in bit 5, folded by the OR with 0x20).
+  const __m256i zero_ch = _mm256_set1_epi8('0');
+  const __m256i one_ch = _mm256_set1_epi8('1');
+  const __m256i x_ch = _mm256_set1_epi8('x');
+  const __m256i dash_ch = _mm256_set1_epi8('-');
+  const __m256i case_bit = _mm256_set1_epi8(0x20);
+  std::uint32_t invalid = 0;
+  const std::size_t words = n / 64;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t c = 0;
+    std::uint64_t v = 0;
+    for (unsigned half = 0; half < 2; ++half) {
+      const __m256i text = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(chars + w * 64 + half * 32));
+      const __m256i ones = _mm256_cmpeq_epi8(text, one_ch);
+      const __m256i specified =
+          _mm256_or_si256(_mm256_cmpeq_epi8(text, zero_ch), ones);
+      const __m256i dont_care = _mm256_or_si256(
+          _mm256_cmpeq_epi8(_mm256_or_si256(text, case_bit), x_ch),
+          _mm256_cmpeq_epi8(text, dash_ch));
+      const auto mask = [](__m256i m) {
+        return static_cast<std::uint64_t>(
+            static_cast<std::uint32_t>(_mm256_movemask_epi8(m)));
+      };
+      c |= mask(specified) << (32 * half);
+      v |= mask(ones) << (32 * half);
+      invalid |= ~static_cast<std::uint32_t>(
+          mask(_mm256_or_si256(specified, dont_care)));
+    }
+    care[w] = c;
+    value[w] = v;
+  }
+  const std::size_t done = words * 64;
+  const bool tail_ok = pack_trit_chars_scalar(chars + done, n - done,
+                                              care + words, value + words);
+  return invalid == 0 && tail_ok;
 }
 
 }  // namespace tdc::bits::simd::detail

@@ -1,5 +1,6 @@
 #include "bits/tritvector.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -31,15 +32,29 @@ TritVector::TritVector(std::size_t n, Trit fill) : size_(n) {
 TritVector TritVector::from_string(std::string_view s) {
   TritVector v;
   v.size_ = s.size();
-  v.care_.assign(words_for(s.size()), 0);
-  v.value_.assign(words_for(s.size()), 0);
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (!is_trit_char(s[i])) {
-      Error{ErrorKind::InvalidInput, "TritVector::from_string: bad character '" +
-                                         std::string(1, s[i]) + "'"}
-          .raise();
-    }
-    v.set(i, trit_from_char(s[i]));
+  v.care_.resize(words_for(s.size()));
+  v.value_.resize(words_for(s.size()));
+  if (!simd::pack_trit_chars(s.data(), s.size(), v.care_.data(),
+                             v.value_.data())) {
+    const char bad = *std::find_if_not(s.begin(), s.end(), is_trit_char);
+    Error{ErrorKind::InvalidInput, "TritVector::from_string: bad character '" +
+                                       std::string(1, bad) + "'"}
+        .raise();
+  }
+  return v;
+}
+
+TritVector TritVector::from_value_words(std::vector<std::uint64_t> value,
+                                        std::size_t n) {
+  assert(value.size() == words_for(n));
+  TritVector v;
+  v.size_ = n;
+  v.care_.assign(value.size(), ~0ULL);
+  v.value_ = std::move(value);
+  if (n % 64 != 0) {
+    const std::uint64_t mask = low_mask(static_cast<unsigned>(n % 64));
+    v.care_.back() &= mask;
+    v.value_.back() &= mask;
   }
   return v;
 }
@@ -79,9 +94,27 @@ void TritVector::push_back(Trit t) {
 }
 
 void TritVector::append(const TritVector& other) {
-  // Word-aligned fast path is not worth the complexity here; appends are
-  // off the hot path (serialization happens once per test set).
-  for (std::size_t i = 0; i < other.size_; ++i) push_back(other.get(i));
+  if (&other == this) {
+    const TritVector copy = other;
+    append(copy);
+    return;
+  }
+  const std::size_t base = size_ / 64;
+  const unsigned off = static_cast<unsigned>(size_ % 64);
+  size_ += other.size_;
+  care_.resize(words_for(size_));
+  value_.resize(words_for(size_));
+  // `other`'s word i lands at bit `off` of word base + i and spills its top
+  // `off` bits into the next word. The destination bits are zero (normal
+  // form past the old size, fresh words beyond), so OR is a store.
+  for (std::size_t i = 0; i < other.care_.size(); ++i) {
+    care_[base + i] |= other.care_[i] << off;
+    value_[base + i] |= other.value_[i] << off;
+    if (off != 0 && base + i + 1 < care_.size()) {
+      care_[base + i + 1] |= other.care_[i] >> (64 - off);
+      value_[base + i + 1] |= other.value_[i] >> (64 - off);
+    }
+  }
 }
 
 std::size_t TritVector::care_count() const {
@@ -159,9 +192,18 @@ bool TritVector::operator==(const TritVector& other) const {
 }
 
 std::string TritVector::to_string() const {
-  std::string s;
-  s.reserve(size_);
-  for (std::size_t i = 0; i < size_; ++i) s.push_back(to_char(get(i)));
+  // Word at a time, branch-free: care + value is 0 for X, 1 for '0' and 2
+  // for '1' (normal form keeps value 0 under X).
+  std::string s(size_, 'X');
+  for (std::size_t w = 0; w < care_.size(); ++w) {
+    const std::uint64_t c = care_[w];
+    const std::uint64_t v = value_[w];
+    const std::size_t len = std::min<std::size_t>(64, size_ - w * 64);
+    char* out = s.data() + w * 64;
+    for (std::size_t j = 0; j < len; ++j) {
+      out[j] = "X01"[((c >> j) & 1u) + ((v >> j) & 1u)];
+    }
+  }
   return s;
 }
 
@@ -181,21 +223,6 @@ std::uint64_t extract_plane_field(const std::vector<std::uint64_t>& words,
   return raw & low_mask(static_cast<unsigned>(len));
 }
 
-/// Word-parallel inverse: replaces plane bits [pos, pos+len) with the low
-/// `len` bits of `field` (LSB-first). Precondition: pos+len within storage.
-void deposit_plane_field(std::vector<std::uint64_t>& words, std::size_t pos,
-                         std::uint64_t field, std::size_t len) {
-  const std::size_t w = pos / 64;
-  const std::size_t off = pos % 64;
-  const std::uint64_t mask = low_mask(static_cast<unsigned>(len));
-  words[w] = (words[w] & ~(mask << off)) | (field << off);
-  if (off + len > 64) {
-    const std::size_t spill = off + len - 64;
-    const std::uint64_t hi_mask = low_mask(static_cast<unsigned>(spill));
-    words[w + 1] = (words[w + 1] & ~hi_mask) | (field >> (64 - off));
-  }
-}
-
 }  // namespace
 
 std::uint64_t TritVector::word(std::size_t pos, std::size_t len) const {
@@ -210,15 +237,6 @@ std::uint64_t TritVector::care_word(std::size_t pos, std::size_t len) const {
   if (len == 0) return 0;
   return reverse_low_bits(extract_plane_field(care_, size_, pos, len),
                           static_cast<unsigned>(len));
-}
-
-void TritVector::set_word(std::size_t pos, std::uint64_t value, unsigned len) {
-  assert(len >= 1 && len <= 64);
-  assert(pos + len <= size_);
-  assert(len == 64 || (value >> len) == 0);
-  const std::uint64_t field = reverse_low_bits(value, len);
-  deposit_plane_field(value_, pos, field, len);
-  deposit_plane_field(care_, pos, low_mask(len), len);
 }
 
 CharCursor::CharCursor(const TritVector& v, std::uint32_t char_bits)

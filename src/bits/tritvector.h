@@ -27,9 +27,19 @@ class TritVector {
   /// Constructs `n` trits, all initialized to `fill`.
   explicit TritVector(std::size_t n, Trit fill = Trit::X);
 
-  /// Parses a textual cube, e.g. "01XX10-1" ('-' is an X alias).
-  /// Throws std::invalid_argument on any other character.
+  /// Parses a textual cube, e.g. "01XX10-1" ('-' is an X alias), straight
+  /// into the planes with simd::pack_trit_chars. Throws
+  /// Error{InvalidInput} (a std::invalid_argument) naming the first
+  /// character that is not a trit.
   static TritVector from_string(std::string_view s);
+
+  /// Fully specified vector of `n` trits whose value plane is `value`
+  /// (position i at bit i % 64 of word i / 64); the care plane is set once
+  /// for the whole vector. Bits of `value` past `n` are cleared. The LZW
+  /// decoder's output constructor. Precondition: value.size() ==
+  /// ceil(n / 64).
+  static TritVector from_value_words(std::vector<std::uint64_t> value,
+                                     std::size_t n);
 
   /// Number of trits.
   std::size_t size() const { return size_; }
@@ -44,8 +54,17 @@ class TritVector {
   /// Appends one trit at the end.
   void push_back(Trit t);
 
-  /// Appends every trit of `other`.
+  /// Appends every trit of `other`: both planes are shift-merged a whole
+  /// word at a time. Serialization runs this once per cube, on every engine
+  /// job and every daemon compress.
   void append(const TritVector& other);
+
+  /// Reserves storage for `n` trits, so a run of appends up to that length
+  /// never reallocates.
+  void reserve(std::size_t n) {
+    care_.reserve(words_for(n));
+    value_.reserve(words_for(n));
+  }
 
   /// Number of specified (0/1) positions.
   std::size_t care_count() const;
@@ -106,13 +125,6 @@ class TritVector {
   /// Positions at or past size() read as X (mask 0), so a trailing partial
   /// character can be fetched without explicit padding.
   std::uint64_t care_word(std::size_t pos, std::size_t len) const;
-
-  /// Inverse of word(): writes trits [pos, pos+len) as specified bits whose
-  /// MSB-first value is `value` — one masked word store per plane instead of
-  /// `len` set() calls. The decoder's expansion writer uses this to emit a
-  /// whole character per call. Preconditions: pos+len <= size(), len in
-  /// [1, 64], value fits in `len` bits.
-  void set_word(std::size_t pos, std::uint64_t value, unsigned len);
 
  private:
   friend class CharCursor;

@@ -2,8 +2,6 @@
 #define TDC_LZW_DECODER_H
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <vector>
 
 #include "bits/bitstream.h"
@@ -18,11 +16,9 @@ namespace tdc::lzw {
 /// Output of a decompression run.
 struct DecodeResult {
   /// The reconstructed, fully specified scan stream, truncated to the
-  /// original (unpadded) bit count.
+  /// original (unpadded) bit count. Decoded bits past that count (the X
+  /// padding of the final character) are dropped.
   bits::TritVector bits;
-
-  /// Decoded characters before truncation (one per C_C output bits).
-  std::vector<std::uint32_t> chars;
 
   /// Codes defined in the dictionary at the end (including literals);
   /// equals the encoder's count, or exceeds it by one trailing entry
@@ -39,6 +35,12 @@ struct DecodeResult {
 /// including the classic "code not yet defined" (KwKwK) special case and the
 /// same dictionary-limit and entry-width freeze rules as the encoder, so the
 /// two dictionaries evolve in lockstep.
+///
+/// Like the paper's Fig. 5 dictionary RAM, the decoder keeps every code's
+/// full expansion flat: when an entry is added its bits are built once from
+/// the parent's (a copy plus one character), so decoding a code is one
+/// shift-merge of those words into the output value plane, with no
+/// parent-chain walk and no per-character buffer.
 ///
 /// Every decode has two entry forms: a strict `try_*` path returning
 /// `Result<DecodeResult>` with full position context (code index, payload
@@ -80,14 +82,15 @@ class Decoder {
   }
 
  private:
-  /// Shared decode loop; `next_code(width)` supplies the next code (nullopt
-  /// = source exhausted), where `width` is the bit width a stream reader
-  /// must consume. `tell()` reports the current payload bit offset for
-  /// error context, or -1 when decoding from an explicit code list.
-  Result<DecodeResult> decode_impl(
-      const std::function<std::optional<std::uint32_t>(std::uint32_t)>& next_code,
-      const std::function<std::int64_t()>& tell, std::size_t code_count,
-      std::uint64_t original_bits) const;
+  /// Shared decode loop over a code source: `source.fetch(width)` supplies
+  /// the next code (nullopt = source exhausted), where `width` is the bit
+  /// width a stream reader must consume, and `source.tell()` reports the
+  /// current payload bit offset for error context, or -1 when decoding from
+  /// an explicit code list. A template parameter, so the per-code fetch
+  /// inlines.
+  template <class Source>
+  Result<DecodeResult> decode_impl(Source& source, std::size_t code_count,
+                                   std::uint64_t original_bits) const;
 
   LzwConfig config_;
 };

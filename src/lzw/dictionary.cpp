@@ -39,7 +39,11 @@ std::uint32_t Dictionary::first_char(std::uint32_t code) const {
 std::vector<std::uint32_t> Dictionary::expand(std::uint32_t code) const {
   TDC_REQUIRE(defined(code), "expand: undefined code");
   std::vector<std::uint32_t> out(length(code));
-  expand_into(code, out.data());
+  std::uint32_t c = code;
+  for (std::size_t i = out.size(); i-- > 0;) {
+    out[i] = sib_[c].ch;
+    c = meta_[c].parent;
+  }
   return out;
 }
 

@@ -79,20 +79,6 @@ class Dictionary {
   /// Full expansion of `code`, first character first.
   std::vector<std::uint32_t> expand(std::uint32_t code) const;
 
-  /// Writes the expansion of `code` into out[0, length(code)), first
-  /// character first, and returns length(code). The decoder's run writer:
-  /// no per-code vector, just one backward walk of the parent chain into
-  /// the caller's output tail. Precondition: defined(code), out has room.
-  std::uint32_t expand_into(std::uint32_t code, std::uint32_t* out) const {
-    std::uint32_t n = meta_[code].length;
-    std::uint32_t c = code;
-    for (std::uint32_t i = n; i-- > 0;) {
-      out[i] = sib_[c].ch;
-      c = meta_[c].parent;
-    }
-    return n;
-  }
-
   /// Child of `code` along exactly character `ch`, or kNoCode. O(1) via the
   /// hash index; inline because it is the encoder's per-character fast path.
   std::uint32_t child(std::uint32_t code, std::uint32_t ch) const {

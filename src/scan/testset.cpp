@@ -21,11 +21,14 @@ double TestSet::x_density() const {
 }
 
 bits::TritVector TestSet::serialize() const {
-  bits::TritVector out;
   for (const auto& c : cubes) {
     if (c.size() != width) throw std::runtime_error("TestSet: cube width mismatch");
-    out.append(c);
   }
+  // Widths checked first, so total_bits() is the real size: one allocation,
+  // then word-parallel appends.
+  bits::TritVector out;
+  out.reserve(total_bits());
+  for (const auto& c : cubes) out.append(c);
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "scan/testset_io.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -14,26 +15,67 @@ void write_tests(std::ostream& out, const TestSet& tests) {
   for (const auto& c : tests.cubes) out << c.to_string() << "\n";
 }
 
-TestSet read_tests(std::istream& in) {
+namespace {
+
+/// One header line. The header is a handful of lines, so it keeps the
+/// stream extraction rules (whitespace skipping, numeric conversion) that
+/// define the format.
+void parse_header_line(std::string_view line, TestSet& ts, std::size_t& expected,
+                       bool& header_done) {
+  std::istringstream ss{std::string(line)};
+  std::string key;
+  ss >> key;
+  if (key == "circuit") {
+    ss >> ts.circuit;
+  } else if (key == "width") {
+    ss >> ts.width;
+  } else if (key == "patterns") {
+    ss >> expected;
+    header_done = true;
+  } else {
+    throw std::runtime_error("read_tests: unexpected header line: " +
+                             std::string(line));
+  }
+}
+
+/// Reads `in` to its end. A seekable stream (file, string stream) is read
+/// with one sized read into one allocation: growing a buffer chunk by chunk
+/// takes fresh pages on every regrowth and costs several times the parse.
+std::string slurp(std::istream& in) {
+  const std::istream::pos_type start = in.tellg();
+  if (start != std::istream::pos_type(-1) && in.seekg(0, std::ios::end)) {
+    const std::istream::pos_type end = in.tellg();
+    in.seekg(start);
+    std::string text(static_cast<std::size_t>(end - start), '\0');
+    in.read(text.data(), static_cast<std::streamsize>(text.size()));
+    text.resize(static_cast<std::size_t>(in.gcount()));
+    return text;
+  }
+  in.clear();
+  std::ostringstream text;
+  text << in.rdbuf();
+  return std::move(text).str();
+}
+
+}  // namespace
+
+TestSet read_tests(std::string_view text) {
   TestSet ts;
-  std::string line;
   std::size_t expected = 0;
   bool header_done = false;
-  while (std::getline(in, line)) {
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t eol = std::min(text.find('\n', pos), text.size());
+    const std::string_view line = text.substr(pos, eol - pos);
+    pos = eol + 1;
     if (line.empty() || line[0] == '#') continue;
     if (!header_done) {
-      std::istringstream ss(line);
-      std::string key;
-      ss >> key;
-      if (key == "circuit") {
-        ss >> ts.circuit;
-      } else if (key == "width") {
-        ss >> ts.width;
-      } else if (key == "patterns") {
-        ss >> expected;
-        header_done = true;
-      } else {
-        throw std::runtime_error("read_tests: unexpected header line: " + line);
+      parse_header_line(line, ts, expected, header_done);
+      if (header_done) {
+        // Every cube takes width characters plus a newline of what is left,
+        // so the declared count cannot reserve more than the text holds.
+        const std::size_t left = pos < text.size() ? text.size() - pos : 0;
+        ts.cubes.reserve(std::min<std::size_t>(
+            expected, left / (static_cast<std::size_t>(ts.width) + 1) + 1));
       }
       continue;
     }
@@ -49,6 +91,8 @@ TestSet read_tests(std::istream& in) {
   return ts;
 }
 
+TestSet read_tests(std::istream& in) { return read_tests(slurp(in)); }
+
 void write_tests_file(const std::string& path, const TestSet& tests) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("write_tests_file: cannot open " + path);
@@ -56,7 +100,7 @@ void write_tests_file(const std::string& path, const TestSet& tests) {
 }
 
 TestSet read_tests_file(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("read_tests_file: cannot open " + path);
   return read_tests(in);
 }

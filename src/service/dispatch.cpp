@@ -297,8 +297,7 @@ Frame Dispatcher::dispatch(const Frame& request) {
         return resp;
       }
       // Not a readable container: try the .tests text format.
-      std::istringstream text(payload);
-      const scan::TestSet tests = scan::read_tests(text);
+      const scan::TestSet tests = scan::read_tests(payload);
       char buf[256];
       std::snprintf(buf, sizeof buf,
                     "test set '%s', %llu patterns x %u bits, %.1f%% don't-cares",
@@ -357,9 +356,8 @@ Frame Dispatcher::do_compress(const Frame& request) {
     Result<Frame> parsed =
         guarded_frame([&spec, &request]() -> Result<Frame> {
           spec.config.validate();
-          std::istringstream in(request.payload);
-          spec.inline_tests =
-              std::make_shared<const scan::TestSet>(scan::read_tests(in));
+          spec.inline_tests = std::make_shared<const scan::TestSet>(
+              scan::read_tests(request.payload));
           return Frame{};
         });
     if (!parsed.ok()) return make_error_frame(request.id, parsed.error());

@@ -490,41 +490,6 @@ TEST(BitstreamTest, PropertyChunkedReadMatchesBitSerialReference) {
   }
 }
 
-// ------------------------------------------------------------- set_word
-
-// Property: set_word is the exact inverse of word() — deposit a random
-// field at a random (word-straddling) position, read it back, and verify
-// neighbours are untouched via a reference model.
-TEST(TritVectorTest, PropertySetWordRoundTrip) {
-  Rng rng(601);
-  for (int round = 0; round < 300; ++round) {
-    const std::size_t n = 1 + rng.below(300);
-    TritVector v(n);
-    std::vector<Trit> ref(n, Trit::X);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (rng.chance(0.5)) {
-        const Trit t = rng.bit() ? Trit::One : Trit::Zero;
-        v.set(i, t);
-        ref[i] = t;
-      }
-    }
-    const auto len =
-        static_cast<unsigned>(1 + rng.below(std::min<std::size_t>(64, n)));
-    const std::size_t pos = rng.below(n - len + 1);
-    const std::uint64_t value = rng.next_u64() & low_mask(len);
-    v.set_word(pos, value, len);
-    for (unsigned b = 0; b < len; ++b) {
-      ref[pos + b] = ((value >> (len - 1 - b)) & 1u) != 0 ? Trit::One : Trit::Zero;
-    }
-    ASSERT_EQ(v.word(pos, len), value);
-    ASSERT_EQ(v.care_word(pos, len), low_mask(len));
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(v.get(i), ref[i]) << "n=" << n << " pos=" << pos
-                                  << " len=" << len << " i=" << i;
-    }
-  }
-}
-
 // ------------------------------------------------------------ SIMD kernels
 
 // Property: whatever active_kernel() dispatched to (avx2 on capable hosts,
@@ -564,6 +529,112 @@ TEST(SimdKernelsTest, PropertyDispatchedMatchesScalarReference) {
       ASSERT_EQ(ca, ca2);
       ASSERT_EQ(va, va2);
     }
+  }
+  // Text -> planes: every length 0..300 (so the AVX2 body, which takes
+  // whole 64-character words, meets every tail length), all-valid text and
+  // then one bad character at each offset mod 64.
+  const std::string trit_chars = "01xX-";
+  const std::string bad_chars = std::string("2Yz \r\t#") + '\0' + '\xff';
+  for (std::size_t n = 0; n <= 300; ++n) {
+    std::string text(n, '0');
+    for (char& ch : text) ch = trit_chars[rng.below(trit_chars.size())];
+    const std::size_t words = (n + 63) / 64;
+    std::vector<std::uint64_t> care(words, ~0ULL), value(words, ~0ULL);
+    std::vector<std::uint64_t> care_ref(words, ~0ULL), value_ref(words, ~0ULL);
+    ASSERT_TRUE(simd::pack_trit_chars(text.data(), n, care.data(), value.data()));
+    ASSERT_TRUE(simd::detail::pack_trit_chars_scalar(text.data(), n,
+                                                     care_ref.data(),
+                                                     value_ref.data()));
+    ASSERT_EQ(care, care_ref) << "n=" << n;
+    ASSERT_EQ(value, value_ref) << "n=" << n;
+    // Independent per-character reference, normal form past n included.
+    TritVector expect(n);
+    for (std::size_t i = 0; i < n; ++i) expect.set(i, trit_from_char(text[i]));
+    ASSERT_EQ(TritVector::from_string(text), expect) << "n=" << n;
+    for (std::size_t residue = 0; residue < 64 && residue < n; ++residue) {
+      std::string broken = text;
+      const std::size_t at = residue + 64 * rng.below((n - residue + 63) / 64);
+      broken[at] = bad_chars[rng.below(bad_chars.size())];
+      ASSERT_FALSE(simd::pack_trit_chars(broken.data(), n, care.data(),
+                                         value.data()))
+          << "n=" << n << " at=" << at;
+      ASSERT_FALSE(simd::detail::pack_trit_chars_scalar(
+          broken.data(), n, care_ref.data(), value_ref.data()))
+          << "n=" << n << " at=" << at;
+    }
+  }
+}
+
+TEST(TritVectorTest, FromStringNamesTheFirstBadCharacter) {
+  for (const std::size_t at : {0u, 1u, 63u, 64u, 65u, 130u}) {
+    std::string text(200, 'X');
+    text[at] = 'q';
+    text[at + 5] = 'z';
+    try {
+      (void)TritVector::from_string(text);
+      FAIL() << "accepted a bad character at " << at;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "TritVector::from_string: bad character 'q'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(TritVectorTest, PropertyToStringFromStringRoundTrips) {
+  Rng rng(703);
+  for (const std::size_t n : {0u, 1u, 31u, 32u, 63u, 64u, 65u, 127u, 128u,
+                              129u, 200u, 1000u}) {
+    TritVector v(n);
+    for (std::size_t i = 0; i < n; ++i) v.set(i, static_cast<Trit>(rng.below(3)));
+    const std::string text = v.to_string();
+    ASSERT_EQ(text.size(), n);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(text[i], to_char(v.get(i))) << i;
+    ASSERT_EQ(TritVector::from_string(text), v) << "n=" << n;
+  }
+}
+
+TEST(TritVectorTest, PropertyAppendMatchesPushBackAtEveryAlignment) {
+  Rng rng(704);
+  const auto random_vector = [&rng](std::size_t n) {
+    TritVector v(n);
+    for (std::size_t i = 0; i < n; ++i) v.set(i, static_cast<Trit>(rng.below(3)));
+    return v;
+  };
+  for (std::size_t align = 0; align < 64; ++align) {
+    for (const std::size_t head_words : {0u, 1u, 2u}) {
+      for (const std::size_t tail : {0u, 1u, 5u, 63u, 64u, 65u, 130u, 200u}) {
+        const TritVector a = random_vector(64 * head_words + align);
+        const TritVector b = random_vector(tail);
+        TritVector oracle = a;
+        for (std::size_t i = 0; i < b.size(); ++i) oracle.push_back(b.get(i));
+        TritVector got = a;
+        got.append(b);
+        // operator== compares whole words, so this also pins normal form.
+        ASSERT_EQ(got, oracle) << "align=" << align << " tail=" << tail;
+        ASSERT_EQ(got.care_count(), a.care_count() + b.care_count());
+      }
+    }
+    TritVector self = random_vector(align);
+    TritVector doubled = self;
+    for (std::size_t i = 0; i < self.size(); ++i) doubled.push_back(self.get(i));
+    self.append(self);
+    ASSERT_EQ(self, doubled) << "self-append, align=" << align;
+  }
+}
+
+TEST(TritVectorTest, FromValueWordsIsFullySpecifiedInNormalForm) {
+  for (const std::size_t n : {0u, 1u, 63u, 64u, 65u, 130u}) {
+    std::vector<std::uint64_t> words((n + 63) / 64, 0xA5A5A5A5A5A5A5A5ULL);
+    const TritVector v = TritVector::from_value_words(words, n);
+    ASSERT_EQ(v.size(), n);
+    ASSERT_TRUE(v.fully_specified());
+    TritVector expect(n, Trit::Zero);
+    for (std::size_t i = 0; i < n; ++i) {
+      if ((words[i / 64] >> (i % 64)) & 1u) expect.set(i, Trit::One);
+    }
+    ASSERT_EQ(v, expect) << "n=" << n;
   }
 }
 

@@ -250,6 +250,14 @@ std::string offline_container(const std::string& text) {
   return std::move(out).str();
 }
 
+/// Sets `flag` when a worker thread's body exits by any path — a failed
+/// ASSERT_* returns from the lambda early, and a waiter polling `flag` must
+/// still see it.
+struct SetOnExit {
+  std::atomic<bool>& flag;
+  ~SetOnExit() { flag.store(true); }
+};
+
 class ServiceTest : public ::testing::Test {
  protected:
   void StartServer(ServerOptions options = {}) {
@@ -736,9 +744,20 @@ TEST_F(ServiceTest, TraceIdPropagatesAcrossTheWireIntoDrainedSpans) {
     ASSERT_TRUE(client.ok());
     ASSERT_TRUE(client.value().call("inspect", {}, tests_text(59)).ok());
   }
+  // The inspect's reply leaves from inside its pool task, before the runner
+  // retires the task. Wait until it has, or the loop below would take the
+  // inspect for the compress and stop the server before the compress
+  // connects.
+  const auto idle_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server_->runner().in_flight() != 0 &&
+         std::chrono::steady_clock::now() < idle_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server_->runner().in_flight(), 0u);
   std::atomic<bool> ok{false};
   std::atomic<bool> finished{false};
   std::thread worker([&] {
+    const SetOnExit done{finished};
     ClientOptions copts;
     copts.socket_path = socket_path_;
     copts.connect_wait_ms = 2000;
@@ -748,7 +767,6 @@ TEST_F(ServiceTest, TraceIdPropagatesAcrossTheWireIntoDrainedSpans) {
     ASSERT_TRUE(client.ok());
     Result<Frame> resp = client.value().call("compress", {}, big);
     ok.store(resp.ok());
-    finished.store(true);
   });
   while (!finished.load() && server_->runner().in_flight() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -789,10 +807,10 @@ TEST_F(ServiceTest, GracefulShutdownDrainsInFlightRequests) {
   std::atomic<bool> ok{false};
   std::atomic<bool> finished{false};
   std::thread worker([&] {
+    const SetOnExit done{finished};
     Client client = MustConnect(30000);
     Result<Frame> resp = client.call("compress", {}, big);
     ok.store(resp.ok());
-    finished.store(true);
   });
   // Stop only once the request is genuinely in flight (the job reached the
   // pool, i.e. the daemon has fully read it) — or already done.
