@@ -2,20 +2,26 @@
 // building blocks. These are engineering (not paper-reproduction) numbers;
 // the table*_ binaries reproduce the paper's results.
 //
-// After the registered benchmarks run, a dedicated old-vs-new harness times
-// the encoder's LegacyScan (pre-index child-list scan + per-character
-// word()/care_word() re-slice) against the Indexed strategy (hash index +
-// streaming CharCursor) on a dense and a 90%-X corpus, prints chars/sec for
-// both paths, and writes the numbers to BENCH_micro_codec.json (override
-// the path with $TDC_BENCH_JSON) so throughput trajectories can be tracked
-// across commits.
+// After the registered benchmarks run, a dedicated harness times
+// lzw::Encoder against the reference encoder of the test tree
+// (tests/support/lzw_oracle: per-character word()/care_word() re-slice,
+// child-list scan through one tie-break switch, per-bit emission) for every
+// tie-break on two corpora that freeze the dictionary (35 % and 90 % X),
+// checks that both produce the same codes, prints chars/sec and the
+// speedup, and writes them to BENCH_micro_codec.json (override the path
+// with $TDC_BENCH_JSON). The speedup is a ratio of two runs in one process
+// on one host, so it can be compared across hosts; absolute chars/sec are
+// informational.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
+#include <algorithm>
+#include <ctime>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <utility>
 
 #include "bits/rng.h"
 #include "bits/simd.h"
@@ -31,6 +37,7 @@
 #include "lzw/decoder.h"
 #include "lzw/encoder.h"
 #include "sim/logicsim.h"
+#include "support/lzw_oracle.h"
 
 namespace {
 
@@ -59,16 +66,14 @@ void BM_LzwEncodeDynamic(benchmark::State& state) {
 }
 BENCHMARK(BM_LzwEncodeDynamic)->Arg(1 << 12)->Arg(1 << 15)->Arg(1 << 18);
 
-void BM_LzwEncodeLegacyScan(benchmark::State& state) {
+void BM_LzwEncodeOracle(benchmark::State& state) {
   const auto input = random_cube(static_cast<std::size_t>(state.range(0)), 0.9, 1);
-  const lzw::Encoder enc(kConfig, lzw::Tiebreak::First,
-                         lzw::MatchStrategy::LegacyScan);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(enc.encode(input));
+    benchmark::DoNotOptimize(lzw::oracle::encode(kConfig, lzw::Tiebreak::First, input));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0) / 8);
 }
-BENCHMARK(BM_LzwEncodeLegacyScan)->Arg(1 << 15);
+BENCHMARK(BM_LzwEncodeOracle)->Arg(1 << 15);
 
 void BM_LzwEncodeZeroFill(benchmark::State& state) {
   const auto input = random_cube(static_cast<std::size_t>(state.range(0)), 0.9, 1);
@@ -219,107 +224,114 @@ void BM_TritVectorCareCount(benchmark::State& state) {
 }
 BENCHMARK(BM_TritVectorCareCount);
 
-// ------------------------------------------------- old-vs-new path harness
+// ------------------------------------------------- encoder-vs-oracle harness
 
-/// Encode chars/sec for one (corpus, strategy) point: repeats whole-corpus
-/// encodes until `min_seconds` of wall clock, best of `rounds` rounds.
-double encode_chars_per_sec(const bits::TritVector& input,
-                            lzw::MatchStrategy strategy) {
-  constexpr double kMinSeconds = 0.2;
-  constexpr int kRounds = 3;
-  const lzw::Encoder enc(kConfig, lzw::Tiebreak::First, strategy);
-  const double chars =
-      static_cast<double>((input.size() + kConfig.char_bits - 1) / kConfig.char_bits);
-  double best = 0.0;
-  for (int r = 0; r < kRounds; ++r) {
+/// Encode chars/sec of the oracle and of the encoder on one corpus. The two
+/// are timed in alternating rounds of at least `kMinSeconds` of process CPU
+/// time each, and each keeps its best round: a host that slows down for a
+/// while slows both sides of the ratio, and CPU time leaves out the time
+/// the process was not running.
+template <class Oracle, class Encode>
+std::pair<double, double> chars_per_sec(double chars, Oracle&& oracle,
+                                        Encode&& encode) {
+  constexpr double kMinSeconds = 0.1;
+  constexpr int kRounds = 5;
+  const auto rate = [&](auto&& encode_once) {
     std::uint64_t iters = 0;
-    const auto start = std::chrono::steady_clock::now();
+    const std::clock_t start = std::clock();
     double elapsed = 0.0;
     do {
-      benchmark::DoNotOptimize(enc.encode(input));
+      benchmark::DoNotOptimize(encode_once());
       ++iters;
-      elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              start)
-                    .count();
+      elapsed = static_cast<double>(std::clock() - start) / CLOCKS_PER_SEC;
     } while (elapsed < kMinSeconds);
-    best = std::max(best, chars * static_cast<double>(iters) / elapsed);
+    return chars * static_cast<double>(iters) / elapsed;
+  };
+  double best_oracle = 0.0;
+  double best_encoder = 0.0;
+  for (int r = 0; r < kRounds; ++r) {
+    best_oracle = std::max(best_oracle, rate(oracle));
+    best_encoder = std::max(best_encoder, rate(encode));
   }
-  return best;
+  return {best_oracle, best_encoder};
 }
 
 struct Corpus {
   const char* name;
   double x_density;
-  // Pre-PR-6 chars/sec on the reference runner (per-bit TritVector slicing,
-  // bit-serial BitWriter, per-node-vector dictionary), pinned so every run
-  // reports its gain against the same fixed origin. Only meaningful for the
-  // default 2^15-bit corpus; the JSON carries the gain as null otherwise.
-  double baseline_legacy;
-  double baseline_indexed;
 };
 
-/// Times LegacyScan vs Indexed per corpus, prints the comparison, writes
-/// the JSON trajectory file. Returns 0 on success.
-int run_path_comparison() {
-  constexpr std::size_t kDefaultBits = 1 << 15;
-  // $TDC_BENCH_BITS shrinks the corpus for smoke profiles (CI perf job);
-  // the pinned-baseline gain column only applies at the default size.
-  std::size_t bits = kDefaultBits;
+struct NamedTiebreak {
+  const char* name;
+  lzw::Tiebreak tiebreak;
+};
+
+/// Times lzw::Encoder and the oracle per (corpus, tie-break), prints the
+/// comparison, writes the JSON file. Returns 0 on success, 1 when the two
+/// encoders disagree or the file cannot be written.
+int run_oracle_comparison() {
+  // 2^19 trits fill the 1024-code dictionary at both densities, so most
+  // characters are matched against a frozen dictionary, as on the suite.
+  // $TDC_BENCH_BITS shrinks the corpus for smoke profiles; the JSON says
+  // whether the dictionary still froze.
+  std::size_t bits = std::size_t{1} << 19;
   if (const char* env = std::getenv("TDC_BENCH_BITS");
       env != nullptr && *env != '\0') {
     const long v = std::strtol(env, nullptr, 10);
     if (v > 0) bits = static_cast<std::size_t>(v);
   }
-  const std::size_t kBits = bits;
-  const bool pinned = kBits == kDefaultBits;
-  const Corpus corpora[] = {{"dense_x0.1", 0.1, 7462016.0, 17060744.0},
-                            {"sparse_x0.9", 0.9, 13488172.0, 26738851.0}};
+  const Corpus corpora[] = {{"x0.35", 0.35}, {"x0.9", 0.9}};
+  const NamedTiebreak tiebreaks[] = {{"First", lzw::Tiebreak::First},
+                                     {"LowestChar", lzw::Tiebreak::LowestChar},
+                                     {"MostRecent", lzw::Tiebreak::MostRecent},
+                                     {"MostChildren", lzw::Tiebreak::MostChildren},
+                                     {"Lookahead", lzw::Tiebreak::Lookahead}};
 
-  std::string json = "{\n  \"bench\": \"micro_codec\",\n  \"config\": {"
-                     "\"dict_size\": " + std::to_string(kConfig.dict_size) +
+  std::string json = "{\n  \"bench\": \"micro_codec\",\n  \"host\": {\"cpus\": " +
+                     std::to_string(std::thread::hardware_concurrency()) +
+                     ", \"simd_kernel\": \"" + bits::simd::active_kernel() +
+                     "\"},\n  \"config\": {\"dict_size\": " +
+                     std::to_string(kConfig.dict_size) +
                      ", \"char_bits\": " + std::to_string(kConfig.char_bits) +
                      ", \"entry_bits\": " + std::to_string(kConfig.entry_bits) +
-                     ", \"simd_kernel\": \"" + bits::simd::active_kernel() +
-                     "\"},\n  \"comparisons\": [\n";
-  std::printf("\nEncoder path comparison (chars/sec, best of 3):\n");
-  std::printf("%-14s %16s %16s %9s %12s\n", "corpus", "legacy", "indexed",
-              "speedup", "vs pre-PR6");
+                     ", \"input_bits\": " + std::to_string(bits) +
+                     "},\n  \"comparisons\": [\n";
+  std::printf("\nEncoder vs oracle (chars per CPU second, best of 5), %zu trits:\n",
+              bits);
+  std::printf("%-6s %-13s %6s %14s %14s %8s\n", "corpus", "tiebreak", "frozen",
+              "oracle", "encoder", "speedup");
   bool first = true;
+  int status = 0;
   for (const Corpus& c : corpora) {
-    const auto input = random_cube(kBits, c.x_density, 7);
-    const double legacy =
-        encode_chars_per_sec(input, lzw::MatchStrategy::LegacyScan);
-    const double indexed =
-        encode_chars_per_sec(input, lzw::MatchStrategy::Indexed);
-    const double speedup = legacy > 0 ? indexed / legacy : 0.0;
-    const double gain = pinned ? indexed / c.baseline_indexed : 0.0;
-    if (pinned) {
-      std::printf("%-14s %16.0f %16.0f %8.2fx %11.2fx\n", c.name, legacy,
-                  indexed, speedup, gain);
-    } else {
-      std::printf("%-14s %16.0f %16.0f %8.2fx %12s\n", c.name, legacy, indexed,
-                  speedup, "n/a");
+    const auto input = random_cube(bits, c.x_density, 7);
+    const double chars = static_cast<double>(
+        (input.size() + kConfig.char_bits - 1) / kConfig.char_bits);
+    for (const NamedTiebreak& t : tiebreaks) {
+      const lzw::Encoder enc(kConfig, t.tiebreak);
+      const lzw::EncodeResult got = enc.encode(input);
+      if (got.codes != lzw::oracle::encode(kConfig, t.tiebreak, input).codes) {
+        std::fprintf(stderr, "micro_codec: encoder and oracle disagree on %s %s\n",
+                     c.name, t.name);
+        status = 1;
+      }
+      const bool frozen = got.telemetry.dict_full_events > 0;
+      const auto [oracle, encoder] = chars_per_sec(
+          chars, [&] { return lzw::oracle::encode(kConfig, t.tiebreak, input); },
+          [&] { return enc.encode(input); });
+      const double speedup = oracle > 0 ? encoder / oracle : 0.0;
+      std::printf("%-6s %-13s %6s %14.0f %14.0f %7.2fx\n", c.name, t.name,
+                  frozen ? "yes" : "no", oracle, encoder, speedup);
+      char entry[384];
+      std::snprintf(entry, sizeof entry,
+                    "%s    {\"corpus\": \"%s\", \"x_density\": %.2f, "
+                    "\"tiebreak\": \"%s\", \"dict_frozen\": %s, "
+                    "\"oracle_chars_per_sec\": %.0f, "
+                    "\"encoder_chars_per_sec\": %.0f, \"speedup\": %.3f}",
+                    first ? "" : ",\n", c.name, c.x_density, t.name,
+                    frozen ? "true" : "false", oracle, encoder, speedup);
+      json += entry;
+      first = false;
     }
-    char gain_field[96];
-    if (pinned) {
-      std::snprintf(gain_field, sizeof gain_field,
-                    "\"baseline_indexed_chars_per_sec\": %.0f, "
-                    "\"gain_vs_baseline\": %.3f",
-                    c.baseline_indexed, gain);
-    } else {
-      std::snprintf(gain_field, sizeof gain_field,
-                    "\"baseline_indexed_chars_per_sec\": null, "
-                    "\"gain_vs_baseline\": null");
-    }
-    char entry[640];
-    std::snprintf(entry, sizeof entry,
-                  "%s    {\"corpus\": \"%s\", \"x_density\": %.2f, "
-                  "\"input_bits\": %zu, \"legacy_chars_per_sec\": %.0f, "
-                  "\"indexed_chars_per_sec\": %.0f, \"speedup\": %.3f, %s}",
-                  first ? "" : ",\n", c.name, c.x_density, kBits, legacy,
-                  indexed, speedup, gain_field);
-    json += entry;
-    first = false;
   }
   json += "\n  ]\n}\n";
 
@@ -333,7 +345,7 @@ int run_path_comparison() {
   }
   out << json;
   std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  return status;
 }
 
 }  // namespace
@@ -343,5 +355,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return run_path_comparison();
+  return run_oracle_comparison();
 }

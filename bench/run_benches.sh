@@ -2,10 +2,12 @@
 # Runs the perf-trajectory benches and leaves their schema-stable JSON files
 # at the repository root (or $TDC_BENCH_OUT_DIR):
 #
-#   BENCH_micro_codec.json        — encoder path comparison (legacy vs
-#                                   indexed chars/sec, gain vs the pinned
-#                                   pre-PR-6 baseline) + google-benchmark
-#                                   micro numbers on stdout
+#   BENCH_micro_codec.json        — lzw::Encoder vs the test-tree oracle
+#                                   encoder: chars/sec and speedup per
+#                                   tie-break on two corpora that freeze the
+#                                   dictionary, stamped with the host's CPU
+#                                   count + google-benchmark micro numbers
+#                                   on stdout
 #   BENCH_engine_throughput.json  — batch-engine scaling curve: wall time,
 #                                   jobs/sec and speedup vs 1 worker at
 #                                   1/2/4/8 pool workers, stamped with the
@@ -17,8 +19,8 @@
 #
 # Environment:
 #   TDC_BENCH_OUT_DIR   where the JSON files land (default: repo root)
-#   TDC_BENCH_BITS      micro_codec corpus size in bits (default 32768;
-#                       smaller values mark the gain-vs-baseline null)
+#   TDC_BENCH_BITS      micro_codec corpus size in bits (default 524288;
+#                       the JSON records whether the dictionary froze)
 #   TDC_BENCH_FILTER    google-benchmark --benchmark_filter for micro_codec
 #                       (default NONE: only the path comparison runs; CI's
 #                       perf-smoke profile keeps it NONE for speed)

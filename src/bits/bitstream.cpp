@@ -86,21 +86,10 @@ namespace {
 
 }  // namespace
 
-std::uint64_t BitReader::read(unsigned width) {
+std::uint64_t BitReader::read_tail(unsigned width) {
   assert(width <= 64);
   if (width > remaining()) read_past_end(pos_, width, bit_count_);
   const std::uint8_t* data = bytes_->data();
-  // Fast path: one unaligned big-endian word load covers the whole field
-  // whenever eight bytes remain in the buffer.
-  const std::size_t byte = pos_ / 8;
-  const unsigned skip = static_cast<unsigned>(pos_ % 8);
-  if (width != 0 && width + skip <= 64 && byte + 8 <= bytes_->size()) {
-    std::uint64_t word;
-    std::memcpy(&word, data + byte, sizeof word);
-    if constexpr (std::endian::native == std::endian::little) word = byteswap64(word);
-    pos_ += width;
-    return (word << skip) >> (64 - width);
-  }
   std::uint64_t v = 0;
   unsigned rem = width;
   while (rem > 0) {

@@ -1,8 +1,10 @@
 #ifndef TDC_BITS_BITSTREAM_H
 #define TDC_BITS_BITSTREAM_H
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "bits/wordops.h"
@@ -108,8 +110,23 @@ class BitReader {
   /// load, or a byte chunk at a time near the end of the buffer.
   /// Precondition: width <= 64. Throws Error{InvalidInput} when fewer than
   /// `width` bits remain, so a decoder of damaged bytes fails typed instead
-  /// of reading past the buffer.
-  std::uint64_t read(unsigned width);
+  /// of reading past the buffer. The word-load path is inline: the LZW
+  /// decoder reads one code per call.
+  std::uint64_t read(unsigned width) {
+    const std::size_t byte = pos_ / 8;
+    const unsigned skip = static_cast<unsigned>(pos_ % 8);
+    if (width <= remaining() && width != 0 && width + skip <= 64 &&
+        byte + 8 <= bytes_->size()) {
+      std::uint64_t word;
+      std::memcpy(&word, bytes_->data() + byte, sizeof word);
+      if constexpr (std::endian::native == std::endian::little) {
+        word = byteswap64(word);
+      }
+      pos_ += width;
+      return (word << skip) >> (64 - width);
+    }
+    return read_tail(width);
+  }
 
   /// Reads one bit; throws like read() at the end of the stream.
   bool read_bit();
@@ -118,6 +135,10 @@ class BitReader {
   std::size_t position() const { return pos_; }
 
  private:
+  /// read() where the word load does not apply: a byte chunk at a time
+  /// near the end of the buffer, the end-of-stream error, width 0.
+  std::uint64_t read_tail(unsigned width);
+
   const std::vector<std::uint8_t>* bytes_;
   std::size_t bit_count_;
   std::size_t pos_ = 0;

@@ -134,10 +134,14 @@ class TritVector {
   std::vector<std::uint64_t> value_;
 };
 
-/// Streaming character cursor over a TritVector: walks the packed bit-plane
-/// words once and yields the MSB-first (value, care) pair of each
-/// `char_bits`-wide character directly from the storage words, instead of
-/// re-slicing with word()/care_word() (a per-bit loop) for every position.
+/// Streaming character cursor over a TritVector: yields the MSB-first
+/// (value, care) pair of each `char_bits`-wide character in order.
+///
+/// next() keeps both planes in a 64-bit window, bit-reversed so the next
+/// unread trit sits at bit 63: a character is the window's top `char_bits`
+/// bits, shifted off after reading. One storage word per plane is reversed
+/// per 64 trits walked, so a character costs a few shifts instead of the
+/// two field extractions and two SWAR reversals of at().
 ///
 /// Semantics match word()/care_word() exactly: X bits read as value 0 and
 /// care 0, and positions at or past size() read as X, so a trailing partial
@@ -162,8 +166,7 @@ class CharCursor {
   /// True once every character has been consumed.
   bool done() const { return index_ >= char_count_; }
 
-  /// Random access to any character (used by lookahead probes); does not
-  /// move the cursor.
+  /// Random access to any character; does not move the cursor.
   Char at(std::uint64_t char_index) const {
     const std::size_t pos = static_cast<std::size_t>(char_index) * bits_;
     return Char{
@@ -175,9 +178,43 @@ class CharCursor {
   }
 
   /// Yields the current character and advances. Precondition: !done().
-  Char next() { return at(index_++); }
+  Char next() {
+    ++index_;
+    const unsigned top = 64u - bits_;
+    Char c;
+    if (avail_ >= bits_) {
+      c = Char{.value = value_win_ >> top, .care = care_win_ >> top};
+      value_win_ = shl_1_64(value_win_, bits_);
+      care_win_ = shl_1_64(care_win_, bits_);
+      avail_ -= bits_;
+      return c;
+    }
+    // The character straddles into the next storage word: splice that
+    // word's reversed bits under the `avail_` bits still held, then keep
+    // what the character did not use. Past the last word both planes read
+    // 0, which is X.
+    std::uint64_t value_word = 0;
+    std::uint64_t care_word = 0;
+    if (word_ < v_->care_.size()) {
+      value_word = reverse_bits64(v_->value_[word_]);
+      care_word = reverse_bits64(v_->care_[word_]);
+    }
+    ++word_;
+    const unsigned used = bits_ - avail_;  // in [1, 64]
+    c = Char{.value = (value_win_ | (value_word >> avail_)) >> top,
+             .care = (care_win_ | (care_word >> avail_)) >> top};
+    value_win_ = shl_1_64(value_word, used);
+    care_win_ = shl_1_64(care_word, used);
+    avail_ = 64u - used;
+    return c;
+  }
 
  private:
+  /// x << s for s in [1, 64] (64 yields 0, where a plain shift is UB).
+  static std::uint64_t shl_1_64(std::uint64_t x, unsigned s) {
+    return (x << (s - 1)) << 1;
+  }
+
   /// LSB-first field [pos, pos+len) of a packed bit plane; bits at or past
   /// `nbits` read as 0. Relies on the normal-form invariant that storage
   /// bits past size() are kept zero, so only whole-word bounds need checks.
@@ -193,9 +230,7 @@ class CharCursor {
   }
 
   /// Reverses the low `len` bits (the planes store position i at bit i of a
-  /// word, while characters are read MSB-first). Word-parallel: the SWAR
-  /// reversal costs the same for a 16-bit character as for a 1-bit one,
-  /// where the per-bit loop this replaced scaled with C_C.
+  /// word, while characters are read MSB-first).
   static std::uint64_t reverse_low_bits(std::uint64_t raw, std::size_t len) {
     return bits::reverse_low_bits(raw, static_cast<unsigned>(len));
   }
@@ -204,6 +239,13 @@ class CharCursor {
   std::uint32_t bits_;
   std::uint64_t char_count_;
   std::uint64_t index_ = 0;
+  // next()'s window: `avail_` unread trits of each plane, bit-reversed and
+  // aligned at bit 63 (bits below them are 0); `word_` is the next storage
+  // word to load.
+  std::uint64_t value_win_ = 0;
+  std::uint64_t care_win_ = 0;
+  unsigned avail_ = 0;
+  std::size_t word_ = 0;
 };
 
 }  // namespace tdc::bits

@@ -1,6 +1,7 @@
 #include "lzw/decoder.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <optional>
@@ -159,6 +160,11 @@ Result<DecodeResult> Decoder::decode_impl(Source& source, std::size_t code_count
   DecoderTelemetry& tel = result.telemetry;
   const std::uint32_t cc = config_.char_bits;
   std::uint64_t decoded_chars = 0;
+  // Expansion lengths are counted into this plain array and folded into the
+  // histogram after the loop, as the encoder does with its match lengths;
+  // a full histogram add per code is measurable here. Longer expansions
+  // (a wide C_MDATA) are recorded directly.
+  std::array<std::uint64_t, 64> len_counts{};
 
   std::uint32_t prev = kNoCode;
   for (std::size_t idx = 0; idx < code_count; ++idx) {
@@ -179,7 +185,6 @@ Result<DecodeResult> Decoder::decode_impl(Source& source, std::size_t code_count
       return err;
     }
     const std::uint32_t code = *fetched;
-    ++tel.codes_consumed;
     std::uint32_t entry_first = 0;
     if (dict.defined(code)) {
       entry_first = dict.first_char(code);
@@ -204,9 +209,12 @@ Result<DecodeResult> Decoder::decode_impl(Source& source, std::size_t code_count
 
     // Mirror of the encoder's dictionary insertion; Dictionary::add
     // enforces the identical freeze (capacity) and C_MDATA (width) rules.
-    // Once the output is complete no later code is emitted, so new entries
-    // only need their length, not their bits.
-    if (prev != kNoCode && dict.child(prev, entry_first) == kNoCode &&
+    // A full dictionary adds nothing and changes nothing, so once it
+    // freezes the duplicate-child probe is skipped. Once the output is
+    // complete no later code is emitted, so new entries only need their
+    // length, not their bits.
+    if (prev != kNoCode && !dict.full() &&
+        dict.child(prev, entry_first) == kNoCode &&
         dict.add(prev, entry_first) != kNoCode) {
       ++tel.entries_added;
       if (!out.full()) {
@@ -220,10 +228,19 @@ Result<DecodeResult> Decoder::decode_impl(Source& source, std::size_t code_count
       out.deposit(arena.expansion(code), static_cast<std::uint64_t>(entry_len) * cc);
     }
     decoded_chars += entry_len;
-    tel.expansion_chars.record(entry_len);
+    if (entry_len < len_counts.size()) {
+      ++len_counts[entry_len];
+    } else {
+      tel.expansion_chars.record(entry_len);
+    }
     prev = code;
   }
 
+  // Failures return from inside the loop, so here every code was consumed.
+  tel.codes_consumed = code_count;
+  for (std::size_t len = 0; len < len_counts.size(); ++len) {
+    tel.expansion_chars.record_repeated(len, len_counts[len]);
+  }
   const std::uint64_t decoded_bits = decoded_chars * cc;
   if (decoded_bits < original_bits) {
     Error err{ErrorKind::StreamTooShort,

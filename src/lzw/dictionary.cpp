@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 
 #include "core/contracts.h"
 
@@ -12,7 +11,8 @@ Dictionary::Dictionary(const LzwConfig& config) : config_(config) {
   config_.validate();
   // All arenas sized once for the full dictionary: add() never allocates,
   // and every field of code c sits at index c of a flat array.
-  sib_.reserve(config_.dict_size);
+  first_.assign(config_.dict_size, ChildLink{});
+  next_.reserve(config_.dict_size);
   meta_.reserve(config_.dict_size);
   tail_.assign(config_.dict_size, Tail{});
   // Hash index sized once for the full dictionary: power of two with load
@@ -23,17 +23,11 @@ Dictionary::Dictionary(const LzwConfig& config) : config_(config) {
   index_shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
   // Literal codes: one root per possible uncompressed character.
   for (std::uint32_t c = 0; c < config_.literal_count(); ++c) {
-    sib_.push_back(SibLink{.ch = c, .next = kNoCode});
-    meta_.push_back(Meta{.parent = kNoCode, .root_ch = c, .length = 1,
-                         .first_child = kNoCode});
+    next_.push_back(ChildLink{});
+    meta_.push_back(Meta{.parent = kNoCode, .root_ch = c, .length = 1, .ch = c});
   }
   next_code_ = config_.literal_count();
   longest_bits_ = config_.char_bits;
-}
-
-std::uint32_t Dictionary::first_char(std::uint32_t code) const {
-  TDC_REQUIRE(defined(code), "first_char: undefined code");
-  return meta_[code].root_ch;
 }
 
 std::vector<std::uint32_t> Dictionary::expand(std::uint32_t code) const {
@@ -41,7 +35,7 @@ std::vector<std::uint32_t> Dictionary::expand(std::uint32_t code) const {
   std::vector<std::uint32_t> out(length(code));
   std::uint32_t c = code;
   for (std::size_t i = out.size(); i-- > 0;) {
-    out[i] = sib_[c].ch;
+    out[i] = meta_[c].ch;
     c = meta_[c].parent;
   }
   return out;
@@ -56,24 +50,21 @@ void Dictionary::index_insert(std::uint32_t parent, std::uint32_t ch,
   index_[slot] = IndexSlot{.key = key, .child = child};
 }
 
-std::uint32_t Dictionary::add(std::uint32_t parent, std::uint32_t ch) {
-  assert(defined(parent));
-  assert(ch < config_.literal_count());
-  assert(child(parent, ch) == kNoCode);
-  if (full() || !extendable(parent)) return kNoCode;
+std::uint32_t Dictionary::append(std::uint32_t parent, std::uint32_t ch) {
   const std::uint32_t code = next_code_++;
-  sib_.push_back(SibLink{.ch = ch, .next = kNoCode});
+  next_.push_back(ChildLink{});
   const Meta& pm = meta_[parent];
   const std::uint32_t new_length = pm.length + 1;
   meta_.push_back(Meta{.parent = parent, .root_ch = pm.root_ch,
-                       .length = new_length, .first_child = kNoCode});
+                       .length = new_length, .ch = ch});
   // Link into the parent's child chain at the tail so children() preserves
   // insertion order (the First tie-break's contract).
   Tail& pt = tail_[parent];
+  const ChildLink link{.code = code, .ch = ch};
   if (pt.last_child == kNoCode) {
-    meta_[parent].first_child = code;
+    first_[parent] = link;
   } else {
-    sib_[pt.last_child].next = code;
+    next_[pt.last_child] = link;
   }
   pt.last_child = code;
   ++pt.count;

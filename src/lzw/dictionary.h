@@ -1,10 +1,12 @@
 #ifndef TDC_LZW_DICTIONARY_H
 #define TDC_LZW_DICTIONARY_H
 
+#include <cassert>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "core/contracts.h"
 #include "lzw/config.h"
 
 namespace tdc::lzw {
@@ -26,21 +28,24 @@ inline constexpr std::uint32_t kNoCode = 0xffffffffu;
 /// The structure is a trie stored as contiguous arenas rather than per-node
 /// heap objects: all fields of code `c` live at index `c` of a handful of
 /// flat arrays, sized once for the full dictionary in the constructor (adds
-/// never allocate). Child lists are intrusive — each node carries its
-/// (character, next-sibling) pair in the scan-hot `sib_` array, and a parent
-/// points at its first/last child — so the don't-care-aware match ("which
-/// children are compatible with this ternary character?") walks an
-/// insertion-ordered sibling chain through one packed 8-byte-per-node array
-/// instead of chasing per-node vectors. The first character of every
+/// never allocate). Child lists are intrusive, insertion-ordered chains of
+/// 8-byte (child code, child character) links: `first_[p]` is the link to
+/// parent p's first child and `next_[c]` the link to c's next sibling. A
+/// link carries the character of the child it points at, so the
+/// don't-care-aware match ("which children are compatible with this ternary
+/// character?") tests a child with the one load that reaches it. The
+/// compatible child is usually the first one, and then a match step costs
+/// one dependent load, `first_[buffer]`. The first character of every
 /// expansion is memoized at add time, making first_char() O(1) (the decoder
 /// consults it per code).
 ///
-/// On top of the sibling chains sits an open-addressed (code, character) ->
-/// child hash index sized for the whole dictionary up front, so the exact
-/// match — the only query possible when a character carries no X bits — is
-/// O(1) instead of O(#children). The encoder consults it first and falls
-/// back to the insertion-ordered sibling scan only when X bits leave several
-/// children compatible, which keeps every Tiebreak's output bit-identical.
+/// On top of the chains sits an open-addressed (code, character) -> child
+/// hash index sized for the whole dictionary up front, so the exact match —
+/// the only query possible when a character carries no X bits — is O(1)
+/// instead of O(#children). The encoder consults it for fully specified
+/// characters and walks the insertion-ordered chain only when X bits leave
+/// several children compatible, which keeps every Tiebreak's output
+/// bit-identical.
 class Dictionary {
  public:
   explicit Dictionary(const LzwConfig& config);
@@ -71,10 +76,14 @@ class Dictionary {
   std::uint32_t parent(std::uint32_t code) const { return meta_[code].parent; }
 
   /// Last character of `code`'s expansion (the literal value for literals).
-  std::uint32_t last_char(std::uint32_t code) const { return sib_[code].ch; }
+  std::uint32_t last_char(std::uint32_t code) const { return meta_[code].ch; }
 
   /// First character of `code`'s expansion — O(1), memoized at add time.
-  std::uint32_t first_char(std::uint32_t code) const;
+  /// Inline: the decoder asks once per code.
+  std::uint32_t first_char(std::uint32_t code) const {
+    TDC_REQUIRE(defined(code), "first_char: undefined code");
+    return meta_[code].root_ch;
+  }
 
   /// Full expansion of `code`, first character first.
   std::vector<std::uint32_t> expand(std::uint32_t code) const;
@@ -102,46 +111,52 @@ class Dictionary {
 #endif
   }
 
+ private:
+  /// One link of a child chain: a child's code and the character it
+  /// appends, or code == kNoCode at the end of the chain.
+  struct ChildLink {
+    std::uint32_t code = kNoCode;
+    std::uint32_t ch = 0;
+  };
+
+ public:
   /// Forward iterator over a code's children as (character, child code)
-  /// pairs, in insertion order — the sibling chain walk the tie-break scan
-  /// runs. Yields by value; the pairs are synthesized from the arena.
+  /// pairs, in insertion order — the chain walk the tie-break pickers run.
+  /// Yields by value from the current link; each step is one load.
   class ChildIterator {
    public:
     using value_type = std::pair<std::uint32_t, std::uint32_t>;
 
-    ChildIterator(const Dictionary* dict, std::uint32_t code)
-        : dict_(dict), code_(code) {}
+    ChildIterator(const Dictionary* dict, ChildLink link)
+        : dict_(dict), link_(link) {}
 
-    value_type operator*() const {
-      return {dict_->sib_[code_].ch, code_};
-    }
+    value_type operator*() const { return {link_.ch, link_.code}; }
     ChildIterator& operator++() {
-      code_ = dict_->sib_[code_].next;
+      link_ = dict_->next_[link_.code];
       return *this;
     }
     bool operator!=(const ChildIterator& other) const {
-      return code_ != other.code_;
+      return link_.code != other.link_.code;
     }
     bool operator==(const ChildIterator& other) const {
-      return code_ == other.code_;
+      return link_.code == other.link_.code;
     }
 
    private:
     const Dictionary* dict_;
-    std::uint32_t code_;
+    ChildLink link_;
   };
 
-  /// Insertion-ordered view of `code`'s children. Replaces the per-node
-  /// vector-of-pairs of the previous layout; size() is O(1) (the count is
-  /// maintained at add time for the MostChildren tie-break).
+  /// Insertion-ordered view of `code`'s children; size() is O(1) (the count
+  /// is maintained at add time for the MostChildren tie-break).
   class ChildRange {
    public:
     ChildRange(const Dictionary* dict, std::uint32_t code)
         : dict_(dict), code_(code) {}
     ChildIterator begin() const {
-      return ChildIterator(dict_, dict_->meta_[code_].first_child);
+      return ChildIterator(dict_, dict_->first_[code_]);
     }
-    ChildIterator end() const { return ChildIterator(dict_, kNoCode); }
+    ChildIterator end() const { return ChildIterator(dict_, ChildLink{}); }
     std::size_t size() const { return dict_->tail_[code_].count; }
     bool empty() const { return size() == 0; }
 
@@ -167,27 +182,27 @@ class Dictionary {
   /// Defines the next code as (parent, ch) if the dictionary is not full and
   /// the entry fits the C_MDATA bound. Returns the new code or kNoCode when
   /// nothing was added. Precondition: defined(parent), no existing
-  /// (parent, ch) child, ch < 2^C_C.
-  std::uint32_t add(std::uint32_t parent, std::uint32_t ch);
+  /// (parent, ch) child, ch < 2^C_C. The refusal is inline: once the
+  /// dictionary freezes, every add the encoder makes is refused.
+  std::uint32_t add(std::uint32_t parent, std::uint32_t ch) {
+    assert(defined(parent));
+    assert(ch < config_.literal_count());
+    assert(child(parent, ch) == kNoCode);
+    if (full() || !extendable(parent)) return kNoCode;
+    return append(parent, ch);
+  }
 
   /// Longest expansion (in bits) over all currently defined codes.
   std::uint64_t longest_entry_bits() const { return longest_bits_; }
 
  private:
-  /// Scan-hot per-code pair: the character this code appends and the next
-  /// sibling under the same parent. 8 bytes, one load per scanned child.
-  struct SibLink {
-    std::uint32_t ch = 0;
-    std::uint32_t next = kNoCode;
-  };
-
   /// Match/expand fields: parent chain, memoized first character, expansion
-  /// length, head of the child chain. 16 bytes per code.
+  /// length, the character this code appends. 16 bytes per code.
   struct Meta {
     std::uint32_t parent = kNoCode;
     std::uint32_t root_ch = 0;  // first character of the expansion
     std::uint32_t length = 0;   // expansion length in characters
-    std::uint32_t first_child = kNoCode;
+    std::uint32_t ch = 0;       // last character of the expansion
   };
 
   /// Append-side bookkeeping, touched only by add() and MostChildren.
@@ -215,8 +230,12 @@ class Dictionary {
   }
   void index_insert(std::uint32_t parent, std::uint32_t ch, std::uint32_t child);
 
+  /// add() once it has decided to define the entry.
+  std::uint32_t append(std::uint32_t parent, std::uint32_t ch);
+
   LzwConfig config_;
-  std::vector<SibLink> sib_;
+  std::vector<ChildLink> first_;  // per parent: its first child
+  std::vector<ChildLink> next_;   // per code: its next sibling
   std::vector<Meta> meta_;
   std::vector<Tail> tail_;
   std::vector<IndexSlot> index_;

@@ -28,23 +28,6 @@ enum class XAssignMode {
   RandomFill,  ///< X -> coin flip, then plain LZW
 };
 
-/// How the encoder locates the matching dictionary child per character.
-///
-/// `Indexed` (the default) consults the dictionary's O(1) (code, ch) hash
-/// index whenever the character carries no X bits — then exactly one child
-/// can be compatible, so every Tiebreak agrees and the list scan is pure
-/// overhead — and walks the input through a streaming CharCursor. It falls
-/// back to the insertion-ordered child-list scan only for characters with
-/// X bits. `LegacyScan` is the original per-character word()/care_word()
-/// re-slice plus unconditional list scan, kept as the reference
-/// implementation: both strategies produce bit-identical streams (enforced
-/// by the lzw_paths property test) and the micro_codec bench reports the
-/// throughput of each.
-enum class MatchStrategy {
-  Indexed,     ///< hash index + streaming cursor (fast path)
-  LegacyScan,  ///< insertion-ordered child-list scan (reference path)
-};
-
 /// Tie-break policy when several dictionary children are compatible with a
 /// ternary input character. The paper leaves this open; the ablation bench
 /// compares the options.
@@ -127,44 +110,29 @@ using StepObserver = std::function<void(const EncoderStep&)>;
 /// scan chain.
 class Encoder {
  public:
-  explicit Encoder(const LzwConfig& config, Tiebreak tiebreak = Tiebreak::First,
-                   MatchStrategy strategy = MatchStrategy::Indexed)
-      : config_(config), tiebreak_(tiebreak), strategy_(strategy) {
+  explicit Encoder(const LzwConfig& config, Tiebreak tiebreak = Tiebreak::First)
+      : config_(config), tiebreak_(tiebreak) {
     config_.validate();
   }
-
-  MatchStrategy strategy() const { return strategy_; }
 
   /// Compresses `input`. `rng_seed` only matters for XAssignMode::RandomFill.
   /// `observer`, when set, receives one EncoderStep per consumed character
   /// (plus a final flush step).
+  ///
+  /// One match loop serves every tie-break: it is a template over a small
+  /// per-Tiebreak child picker, instantiated once per policy and chosen
+  /// here, so the per-character path carries no policy switch. Fully
+  /// specified characters take the dictionary's O(1) hash probe (only one
+  /// child can be compatible, so every policy agrees); characters with X
+  /// bits walk the insertion-ordered child chain through the picker.
   EncodeResult encode(const bits::TritVector& input,
                       XAssignMode mode = XAssignMode::Dynamic,
                       std::uint64_t rng_seed = 1,
                       const StepObserver& observer = {}) const;
 
  private:
-  /// The optimized loop: streaming CharCursor fetch, O(1) hash probe for
-  /// fully specified characters, pre-sized result containers.
-  EncodeResult encode_indexed(const bits::TritVector& input,
-                              const StepObserver& observer) const;
-
-  /// Faithful replica of the pre-index encoder (per-character re-slice,
-  /// unconditional list scan, per-bit emission); the reference baseline.
-  EncodeResult encode_legacy(const bits::TritVector& input,
-                             const StepObserver& observer) const;
-
-  /// Picks among compatible children per the tie-break policy; kNoCode if
-  /// none. `cursor`/`char_index` feed the Lookahead policy's probe.
-  std::uint32_t pick_child(const Dictionary& dict, std::uint32_t buffer,
-                           std::uint64_t value, std::uint64_t care,
-                           const bits::CharCursor& cursor,
-                           std::uint64_t char_index,
-                           std::uint64_t input_chars) const;
-
   LzwConfig config_;
   Tiebreak tiebreak_;
-  MatchStrategy strategy_;
 };
 
 }  // namespace tdc::lzw

@@ -18,11 +18,11 @@ namespace tdc::lzw {
 /// character.
 struct EncoderTelemetry {
   /// Dictionary child lookups answered by the O(1) (code, char) hash index
-  /// (fully specified character on the Indexed strategy).
+  /// (the character was fully specified).
   std::uint64_t probes_fast = 0;
 
   /// Dictionary child lookups that walked the insertion-ordered child list
-  /// (character carried X bits, or the LegacyScan strategy).
+  /// through the tie-break picker (the character carried X bits).
   std::uint64_t probes_scan = 0;
 
   /// Characters that extended the running match (a compatible child existed).

@@ -667,5 +667,50 @@ TEST(CharCursorTest, PropertyMatchesPerTritReference) {
   }
 }
 
+// next() walks its own bit-reversed word window while at() slices the
+// planes on demand: for every character width and every length up to 300
+// trits, both must agree with an independent per-trit get() reference, and
+// at() calls interleaved with the walk must not disturb next().
+TEST(CharCursorTest, PropertyNextMatchesAtAndPerTritEveryWidth) {
+  Rng rng(1404);
+  for (std::uint32_t cc = 1; cc <= 64; ++cc) {
+    for (std::size_t n = 0; n <= 300; ++n) {
+      TritVector v(n);
+      const double x_density = rng.chance(0.5) ? 0.5 : 0.05;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!rng.chance(x_density)) v.set(i, rng.bit() ? Trit::One : Trit::Zero);
+      }
+      const auto reference = [&](std::uint64_t k) {
+        CharCursor::Char want;
+        for (std::uint32_t b = 0; b < cc; ++b) {
+          const std::size_t pos = static_cast<std::size_t>(k) * cc + b;
+          const Trit t = pos < n ? v.get(pos) : Trit::X;
+          want.value = (want.value << 1) | (t == Trit::One ? 1u : 0u);
+          want.care = (want.care << 1) | (is_care(t) ? 1u : 0u);
+        }
+        return want;
+      };
+      CharCursor cur(v, cc);
+      ASSERT_EQ(cur.char_count(), (n + cc - 1) / cc);
+      for (std::uint64_t k = 0; !cur.done(); ++k) {
+        if (rng.chance(0.3)) {
+          const std::uint64_t probe = rng.below(cur.char_count());
+          const auto got = cur.at(probe);
+          const auto want = reference(probe);
+          ASSERT_EQ(got.value, want.value) << "at n=" << n << " cc=" << cc;
+          ASSERT_EQ(got.care, want.care) << "at n=" << n << " cc=" << cc;
+        }
+        ASSERT_EQ(cur.index(), k);
+        const auto want = reference(k);
+        const auto got = cur.next();
+        ASSERT_EQ(got.value, want.value) << "n=" << n << " cc=" << cc << " k=" << k;
+        ASSERT_EQ(got.care, want.care) << "n=" << n << " cc=" << cc << " k=" << k;
+        ASSERT_EQ(cur.at(k).value, got.value) << "n=" << n << " cc=" << cc << " k=" << k;
+        ASSERT_EQ(cur.at(k).care, got.care) << "n=" << n << " cc=" << cc << " k=" << k;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tdc::bits

@@ -27,29 +27,41 @@ using bits::Rng;
 
 /// A code stream shaped like real encoder output — defined codes, with a
 /// KwKwK code (the entry being created) at probability `kwkwk` — that turns
-/// hostile at probability `corrupt` per code with an arbitrary value of the
-/// current width. A lockstep dictionary tracks what a decoder knows, so the
-/// widths of variable-width streams follow the real schedule up to the first
-/// undefined code.
+/// hostile at probability `corrupt` per code (`frozen_corrupt` once the
+/// dictionary is full) with an arbitrary value of the current width. A
+/// lockstep dictionary tracks what a decoder knows, so the widths of
+/// variable-width streams follow the real schedule up to the first
+/// undefined code. A KwKwK code is itself corrupt where the real encoder
+/// could not have emitted it, unless `legal_kwkwk` restricts it to where it
+/// could. `frozen_at`, when given, receives the index of the first code read
+/// with a full dictionary (`codes` if it never fills).
 lzw::EncodeResult synthetic_stream(const lzw::LzwConfig& config, Rng& rng,
                                    std::size_t codes, double kwkwk,
-                                   double corrupt) {
+                                   double corrupt, double frozen_corrupt = 0.0,
+                                   bool legal_kwkwk = false,
+                                   std::size_t* frozen_at = nullptr) {
   lzw::EncodeResult out;
   out.config = config;
   lzw::Dictionary dict(config);
   std::uint32_t prev = lzw::kNoCode;
   std::uint64_t chars = 0;
   bool valid = true;
+  if (frozen_at != nullptr) *frozen_at = codes;
   for (std::size_t i = 0; i < codes; ++i) {
+    if (frozen_at != nullptr && *frozen_at == codes && dict.full()) *frozen_at = i;
     const std::uint32_t width =
         config.variable_width
             ? std::min(static_cast<std::uint32_t>(std::bit_width(dict.size())),
                        config.code_bits())
             : config.code_bits();
     std::uint32_t code = 0;
-    if (!valid || rng.chance(corrupt)) {
+    if (!valid || rng.chance(dict.full() ? frozen_corrupt : corrupt)) {
       code = static_cast<std::uint32_t>(rng.below(std::uint64_t{1} << width));
-    } else if (prev != lzw::kNoCode && !dict.full() && rng.chance(kwkwk)) {
+    } else if (prev != lzw::kNoCode && !dict.full() &&
+               (!legal_kwkwk ||
+                (dict.extendable(prev) &&
+                 dict.child(prev, dict.first_char(prev)) == lzw::kNoCode)) &&
+               rng.chance(kwkwk)) {
       code = dict.size();
     } else {
       code = static_cast<std::uint32_t>(rng.below(dict.size()));
@@ -238,6 +250,50 @@ TEST(DecoderDifferentialTest, EncoderOutputMatchesCycleModel) {
         }
       }
     }
+  }
+}
+
+// Real streams spend most of their codes against a frozen dictionary, where
+// the decoder skips the duplicate-child probe. Long streams that freeze
+// early, with corrupt codes only after the freeze: a corrupt code past N
+// must fail at the same code and bit in both decoders, and one below N must
+// decode to the same planes.
+TEST(DecoderDifferentialTest, FrozenStreamsWithCorruptionAfterTheFreeze) {
+  Rng rng(1315);
+  Tally tally;
+  int late_errors = 0;
+  for (const std::uint32_t cc : {1u, 2u, 4u, 7u, 9u}) {
+    for (const std::uint32_t mdata : {15u, 63u}) {
+      if (mdata < 2 * cc) continue;
+      for (const bool variable : {false, true}) {
+        // A non-power-of-two size, so that C_E-bit values past N exist.
+        const lzw::LzwConfig config{.dict_size = (1u << cc) + 37,
+                                    .char_bits = cc,
+                                    .entry_bits = mdata,
+                                    .variable_width = variable};
+        for (int round = 0; round < 8; ++round) {
+          std::size_t frozen_at = 0;
+          lzw::EncodeResult enc =
+              synthetic_stream(config, rng, 1500, round % 2 == 0 ? 0.3 : 0.05,
+                               /*corrupt=*/0.0, /*frozen_corrupt=*/0.01,
+                               /*legal_kwkwk=*/true, &frozen_at);
+          ASSERT_LT(frozen_at, enc.codes.size()) << where(config, round);
+          if (round % 3 == 2) vary_original_bits(enc, rng);
+          expect_agreement(enc, where(config, round), tally);
+          if (HasFatalFailure()) return;
+          hw::HwConfig hc;
+          hc.lzw = enc.config;
+          const Result<hw::HwRunResult> model = hw::DecompressorModel(hc).try_run(enc);
+          if (!model.ok() && model.error().code_index >= static_cast<std::int64_t>(frozen_at)) {
+            ++late_errors;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(late_errors, 0);
+  for (const char* outcome : {"ok", "kwkwk", "UndefinedCode"}) {
+    EXPECT_GT(tally[outcome], 0) << outcome;
   }
 }
 

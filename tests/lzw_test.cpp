@@ -11,6 +11,7 @@
 #include "lzw/dictionary.h"
 #include "lzw/encoder.h"
 #include "lzw/verify.h"
+#include "support/lzw_oracle.h"
 
 namespace tdc::lzw {
 namespace {
@@ -361,10 +362,8 @@ TEST(TiebreakTest, LowestCharPicksSmallestCompatibleCharacter) {
   const auto first = Encoder(c, Tiebreak::First).encode(input);
   EXPECT_EQ(first.codes, (std::vector<std::uint32_t>{0, 2, 0, 1, 4}));
 
-  // The legacy scan agrees (the fix is strategy-independent).
-  const auto legacy =
-      Encoder(c, Tiebreak::LowestChar, MatchStrategy::LegacyScan).encode(input);
-  EXPECT_EQ(legacy.codes, lowest.codes);
+  // The reference encoder agrees.
+  EXPECT_EQ(oracle::encode(c, Tiebreak::LowestChar, input).codes, lowest.codes);
 }
 
 // ---------------------------------------------------------------- Round-trip property sweep
@@ -467,23 +466,24 @@ TEST(TelemetryTest, PrefillModesReportPrefilledBits) {
 
 TEST(TelemetryTest, ProbeSplitFollowsStrategyAndCareBits) {
   const LzwConfig c{.dict_size = 1024, .char_bits = 7, .entry_bits = 63};
-  // Fully specified input: the Indexed strategy answers every probe through
-  // the O(1) hash path, the Legacy strategy never does.
+  // Fully specified input: the encoder answers every probe through the
+  // O(1) hash path and never walks a child chain.
   const auto dense = random_cube(7000, 0.0, 31);
-  const auto indexed = Encoder(c, Tiebreak::First, MatchStrategy::Indexed).encode(dense);
+  const auto indexed = Encoder(c, Tiebreak::First).encode(dense);
   EXPECT_GT(indexed.telemetry.probes_fast, 0u);
   EXPECT_EQ(indexed.telemetry.probes_scan, 0u);
 
-  const auto legacy = Encoder(c, Tiebreak::First, MatchStrategy::LegacyScan).encode(dense);
-  EXPECT_EQ(legacy.telemetry.probes_fast, 0u);
-  EXPECT_EQ(legacy.telemetry.probes_scan, indexed.telemetry.probes_fast);
+  // The reference encoder scans every probe but classifies it by the
+  // character's care bits, so it reports the same split.
+  const auto reference = oracle::encode(c, Tiebreak::First, dense);
+  EXPECT_EQ(reference.telemetry.probes_fast, indexed.telemetry.probes_fast);
+  EXPECT_EQ(reference.telemetry.probes_scan, 0u);
 
   // Identical output streams mean identical emission telemetry.
-  EXPECT_EQ(legacy.telemetry.match_chars.snapshot().sum,
+  EXPECT_EQ(reference.telemetry.match_chars.snapshot().sum,
             indexed.telemetry.match_chars.snapshot().sum);
 
-  // An X-bearing character must take the tiebreak-aware scan even when
-  // indexed.
+  // An X-bearing character must take the tiebreak-aware scan.
   const auto sparse = random_cube(7000, 0.8, 37);
   const auto mixed = Encoder(c).encode(sparse);
   EXPECT_GT(mixed.telemetry.probes_scan, 0u);
