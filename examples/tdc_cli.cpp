@@ -6,14 +6,17 @@
 //   tdc_cli compress <in.tests>... <out|--out-dir D>  [--dict N] [--char C]
 //                                                [--entry E] [--variable]
 //                                                [--v1] [--chunk-bytes N]
-//                                                [--jobs N] (multi-input)
+//                                                [--codec M] [--chunk-trits N]
+//                                                [--jobs N] (multi-input);
+//                                                one batch-engine job per
+//                                                input, written whole
 //   tdc_cli decompress <in.tdclzw> <out.tests>   expand to full vectors
 //   tdc_cli inspect <file>                       describe either format
 //                                                (alias: info)
 //   tdc_cli verify <in.tdclzw>...                full integrity + decode
 //                                                check; nonzero on damage;
 //                                                [--jobs N] in parallel
-//   tdc_cli batch <manifest>                     pipelined multi-job engine
+//   tdc_cli batch <manifest>                     multi-job engine
 //                                                [--jobs N] [--fail-fast]
 //                                                [--out-dir D] [--no-verify]
 //                                                [--metrics out.json]
@@ -61,6 +64,7 @@
 #include <unistd.h>
 
 #include "codec/select.h"
+#include "core/file_io.h"
 #include "engine/engine.h"
 #include "engine/manifest.h"
 #include "engine/metrics.h"
@@ -69,7 +73,6 @@
 #include "exp/thread_pool.h"
 #include "hw/decompressor_rtl.h"
 #include "lzw/stream_io.h"
-#include "lzw/verify.h"
 #include "netlist/bench_io.h"
 #include "netlist/stats.h"
 #include "netlist/verilog_io.h"
@@ -117,10 +120,7 @@ int usage() {
                "              [--metrics-log <file>] [--metrics-interval-ms N]\n"
                "  tdc_cli client <socket> ping\n"
                "  tdc_cli client <socket> compress <in.tests> <out.tdclzw>"
-               " [--dict N]\n"
-               "              [--char C] [--entry E] [--variable] [--v1]"
-               " [--chunk-bytes N]\n"
-               "              [--codec <name|auto|race>] [--chunk-trits N]\n"
+               " [the compress flags]\n"
                "  tdc_cli client <socket> decompress <in.tdclzw> <out.tests>\n"
                "  tdc_cli client <socket> verify <in.tdclzw>\n"
                "  tdc_cli client <socket> inspect <file>\n"
@@ -269,7 +269,9 @@ std::string stream_stats_json(const std::string& input, const char* source,
 std::string multicodec_stats_json(const std::string& input,
                                   const std::string& mode,
                                   const lzw::LzwConfig& config,
-                                  const codec::EncodedChunks& chunks);
+                                  std::uint64_t original_bits,
+                                  std::uint64_t stats_bits,
+                                  const std::vector<codec::ChunkChoice>& choices);
 
 /// Writes `text` to `--out <file>` when given, stdout otherwise.
 int emit_text(const std::optional<std::string>& out_path, const std::string& text) {
@@ -400,8 +402,8 @@ int cmd_stats(exp::Args& args) {
                      decoded.error().describe().c_str());
         return 1;
       }
-      codec::EncodedChunks chunks;
-      chunks.original_bits = img.original_bits;
+      std::vector<codec::ChunkChoice> choices;
+      std::uint64_t payload_bytes = 0;
       for (const lzw::ChunkRecord& r : img.chunks) {
         const codec::Codec* c = codec::codec_for_id(r.codec_id);
         codec::ChunkChoice choice;
@@ -410,12 +412,13 @@ int cmd_stats(exp::Args& args) {
                                     : "id" + std::to_string(r.codec_id);
         choice.trits = r.original_trits;
         choice.payload_bytes = r.payload.size();
-        chunks.payload_bytes += r.payload.size();
-        chunks.choices.push_back(std::move(choice));
+        payload_bytes += r.payload.size();
+        choices.push_back(std::move(choice));
       }
-      chunks.stats_bits = chunks.payload_bytes * 8;
       return emit_text(out_path,
-                       multicodec_stats_json(path, "container", img.config, chunks));
+                       multicodec_stats_json(path, "container", img.config,
+                                             img.original_bits, payload_bytes * 8,
+                                             choices));
     }
     const Result<lzw::DecodeResult> decoded = img.try_decode();
     if (!decoded.ok()) {
@@ -476,14 +479,6 @@ int cmd_gen(exp::Args& args) {
   return 0;
 }
 
-/// One verified compress of `in` to `out`; returns the success line plus the
-/// stream's telemetry JSON (for --stats), or throws. Shared by the
-/// single-file and the parallel --out-dir paths.
-struct CompressOutcome {
-  std::string line;
-  std::string stats_json;
-};
-
 /// "auto[lzw x2, bwt x1]" — the mode plus the winner histogram in chunk
 /// order of first appearance.
 std::string choices_summary(const std::string& mode,
@@ -510,7 +505,11 @@ std::string choices_summary(const std::string& mode,
 std::string multicodec_stats_json(const std::string& input,
                                   const std::string& mode,
                                   const lzw::LzwConfig& config,
-                                  const codec::EncodedChunks& chunks) {
+                                  std::uint64_t original_bits,
+                                  std::uint64_t stats_bits,
+                                  const std::vector<codec::ChunkChoice>& choices) {
+  std::uint64_t payload_bytes = 0;
+  for (const codec::ChunkChoice& c : choices) payload_bytes += c.payload_bytes;
   char buf[512];
   std::snprintf(buf, sizeof buf,
                 "{\n"
@@ -525,14 +524,14 @@ std::string multicodec_stats_json(const std::string& input,
                 obs::json_escape(input).c_str(), obs::json_escape(mode).c_str(),
                 obs::json_escape(config.describe()).c_str(),
                 config.variable_width ? " variable-width" : "",
-                static_cast<unsigned long long>(chunks.original_bits),
-                static_cast<unsigned long long>(chunks.stats_bits),
-                static_cast<unsigned long long>(chunks.payload_bytes),
-                codec::ratio_percent(chunks.original_bits, chunks.stats_bits));
+                static_cast<unsigned long long>(original_bits),
+                static_cast<unsigned long long>(stats_bits),
+                static_cast<unsigned long long>(payload_bytes),
+                codec::ratio_percent(original_bits, stats_bits));
   std::string json = buf;
   json += "  \"chunks\": [";
-  for (std::size_t i = 0; i < chunks.choices.size(); ++i) {
-    const codec::ChunkChoice& c = chunks.choices[i];
+  for (std::size_t i = 0; i < choices.size(); ++i) {
+    const codec::ChunkChoice& c = choices[i];
     std::snprintf(buf, sizeof buf,
                   "%s\n    {\"codec\": \"%s\", \"trits\": %llu,"
                   " \"stats_bits\": %llu, \"payload_bytes\": %llu}",
@@ -544,7 +543,7 @@ std::string multicodec_stats_json(const std::string& input,
   }
   json += "\n  ],\n  \"per_codec\": {";
   std::vector<std::pair<std::string, std::array<std::uint64_t, 4>>> totals;
-  for (const codec::ChunkChoice& c : chunks.choices) {
+  for (const codec::ChunkChoice& c : choices) {
     bool found = false;
     for (auto& [name, t] : totals) {
       if (name == c.codec) {
@@ -574,155 +573,131 @@ std::string multicodec_stats_json(const std::string& input,
   return json;
 }
 
-CompressOutcome compress_one(const std::string& in, const std::string& out,
-                             const lzw::LzwConfig& config,
-                             const lzw::ContainerOptions& container,
-                             const std::string& codec_mode,
-                             std::uint32_t chunk_trits) {
-  obs::TraceSpan span("cli.compress");
-  const scan::TestSet tests = scan::read_tests_file(in);
-  const bits::TritVector stream = tests.serialize();
+/// The compress knobs `compress` and `client compress` share: each flag's
+/// engine::set_job_param key, and for a bare flag the value it stands for.
+struct CompressFlag {
+  const char* flag;
+  const char* key;
+  const char* bare_value;  ///< nullptr: the flag takes a value
+};
+constexpr CompressFlag kCompressFlags[] = {
+    {"--dict", "dict", nullptr},         {"--char", "char", nullptr},
+    {"--entry", "entry", nullptr},       {"--variable", "variable", "1"},
+    {"--v1", "container", "1"},          {"--chunk-bytes", "chunk", nullptr},
+    {"--codec", "codec", nullptr},       {"--chunk-trits", "chunk_trits", nullptr},
+};
 
-  if (!codec_mode.empty()) {
-    // Multi-codec path: per-chunk selection into a TDCLZW2 v3 container,
-    // verified end to end through the registry before the file is written.
-    codec::SelectOptions options =
-        codec::parse_codec_mode(codec_mode).value_or_throw();
-    options.lzw = config;
-    if (chunk_trits != 0) options.chunk_trits = chunk_trits;
-    obs::MetricsRegistry metrics;
-    const codec::EncodedChunks chunks =
-        codec::encode_chunks(stream, options, &metrics).value_or_throw();
-    const bits::TritVector decoded =
-        codec::decode_records(chunks.records, chunks.original_bits)
-            .value_or_throw();
-    if (!decoded.fully_specified() || !stream.covered_by(decoded)) {
-      throw std::runtime_error(
-          "internal verification failed: expansion does not cover the input");
+/// Consumes the compress flags given, as (key, value) pairs in table order.
+std::vector<std::pair<std::string, std::string>> compress_params(exp::Args& args) {
+  std::vector<std::pair<std::string, std::string>> params;
+  for (const CompressFlag& f : kCompressFlags) {
+    if (f.bare_value != nullptr) {
+      if (args.flag(f.flag)) params.emplace_back(f.key, f.bare_value);
+    } else if (const std::optional<std::string> v = args.value(f.flag)) {
+      params.emplace_back(f.key, *v);
     }
-    lzw::write_image_v3_file(out, config, chunks.original_bits,
-                             options.chunk_trits, chunks.records);
-    char buf[512];
-    std::snprintf(
-        buf, sizeof buf,
-        "%s: %llu -> %llu bits (ratio %.2f%%, %s, codec %s, TDCLZW2 v3) -> %s",
-        in.c_str(), static_cast<unsigned long long>(chunks.original_bits),
-        static_cast<unsigned long long>(chunks.stats_bits),
-        codec::ratio_percent(chunks.original_bits, chunks.stats_bits),
-        config.describe().c_str(),
-        choices_summary(codec_mode, chunks.choices).c_str(), out.c_str());
-    CompressOutcome outcome;
-    outcome.line = buf;
-    outcome.stats_json = multicodec_stats_json(in, codec_mode, config, chunks);
-    return outcome;
   }
-
-  const auto encoded = lzw::Encoder(config).encode(stream);
-  const auto report = lzw::verify_roundtrip(stream, encoded);
-  if (!report.ok) {
-    throw std::runtime_error("internal verification failed: " + report.error);
-  }
-  lzw::write_image_file(out, encoded, container);
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "%s: %llu -> %llu bits (ratio %.2f%%, %s, TDCLZW%u) -> %s",
-                in.c_str(), static_cast<unsigned long long>(encoded.original_bits),
-                static_cast<unsigned long long>(encoded.compressed_bits()),
-                encoded.ratio_percent(), config.describe().c_str(),
-                container.version, out.c_str());
-  CompressOutcome outcome;
-  outcome.line = buf;
-  outcome.stats_json = stream_stats_json(in, "tests", config,
-                                         encoded.original_bits,
-                                         encoded.compressed_bits(),
-                                         encoded.codes.size(), nullptr,
-                                         &encoded.telemetry, nullptr);
-  return outcome;
+  return params;
 }
 
-std::string basename_of(const std::string& path) {
-  const std::size_t slash = path.rfind('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
+/// The success line of one committed compress job.
+std::string compress_line(const engine::JobSpec& spec, const engine::JobOutcome& job) {
+  const std::string format =
+      spec.codec.empty() ? "TDCLZW" + std::to_string(job.container_version)
+                         : "codec " + choices_summary(spec.codec, job.choices) +
+                               ", TDCLZW2 v3";
+  char buf[512];
+  std::snprintf(buf, sizeof buf, "%s: %llu -> %llu bits (ratio %.2f%%, %s, %s) -> %s",
+                spec.input_path.c_str(),
+                static_cast<unsigned long long>(job.original_bits),
+                static_cast<unsigned long long>(job.compressed_bits), job.ratio_percent,
+                spec.config.describe().c_str(), format.c_str(),
+                job.output_path.c_str());
+  return buf;
+}
+
+/// The --stats object of one committed compress job: the encoder telemetry
+/// of an LZW job, the per-codec accounting of a codec= job.
+std::string compress_stats_json(const engine::JobSpec& spec,
+                                const engine::JobOutcome& job) {
+  if (!spec.codec.empty()) {
+    return multicodec_stats_json(spec.input_path, spec.codec, spec.config,
+                                 job.original_bits, job.compressed_bits, job.choices);
+  }
+  // The encoder records one match_chars sample per emitted code.
+  return stream_stats_json(spec.input_path, "tests", spec.config, job.original_bits,
+                           job.compressed_bits, job.telemetry.match_chars.snapshot().count,
+                           nullptr, &job.telemetry, nullptr);
 }
 
 int cmd_compress(exp::Args& args) {
-  lzw::LzwConfig config;
-  config.variable_width = args.flag("--variable");
-  config.dict_size = args.u32("--dict", config.dict_size);
-  config.char_bits = args.u32("--char", config.char_bits);
-  config.entry_bits = args.u32("--entry", config.entry_bits);
-  lzw::ContainerOptions container;
-  if (args.flag("--v1")) container.version = 1;
-  container.chunk_bytes = args.u32("--chunk-bytes", container.chunk_bytes);
-  const std::string codec_mode = args.value("--codec").value_or("");
-  const std::uint32_t chunk_trits = args.u32("--chunk-trits", 0);
+  const auto params = compress_params(args);
   const std::optional<std::string> out_dir = args.value("--out-dir");
   const std::optional<std::string> stats_path = args.value("--stats");
-  const unsigned jobs = args.jobs();
-
+  engine::EngineOptions options;
+  options.workers = args.jobs();
   std::vector<std::string> pos;
   if (!accept(args, out_dir ? 1 : 2, out_dir ? 9999 : 2, &pos)) return usage();
-  config.validate();
-  if (!codec_mode.empty()) {
-    if (const auto mode = codec::parse_codec_mode(codec_mode); !mode.ok()) {
-      std::fprintf(stderr, "%s\n", mode.error().describe().c_str());
+
+  // One job per input, through the same set_job_param/check_job/Engine path
+  // as a manifest job: --out-dir writes <dir>/<stem>.tdclzw for every
+  // positional, otherwise the one input goes to the second positional.
+  engine::JobSpec base;
+  for (const auto& [key, value] : params) {
+    if (Status s = engine::set_job_param(base, key, value); !s.ok()) {
+      std::fprintf(stderr, "%s\n", s.error().describe().c_str());
       return 2;
     }
-    if (container.version == 1 ||
-        container.chunk_bytes != lzw::ContainerOptions{}.chunk_bytes) {
-      std::fprintf(stderr,
-                   "--codec writes a TDCLZW2 v3 container; drop --v1/--chunk-bytes\n");
-      return 2;
+  }
+  engine::Manifest manifest;
+  const std::size_t inputs = out_dir ? pos.size() : 1;
+  for (std::size_t i = 0; i < inputs; ++i) {
+    engine::JobSpec spec = base;
+    spec.name = pos[i];
+    spec.input_path = pos[i];
+    if (out_dir) {
+      std::filesystem::path name = std::filesystem::path(pos[i]).filename();
+      if (name.extension() == ".tests") name.replace_extension();
+      spec.output_path = name.string() + ".tdclzw";
+    } else {
+      spec.output_path = pos[1];
     }
-  } else if (chunk_trits != 0) {
-    std::fprintf(stderr, "--chunk-trits needs --codec\n");
+    manifest.jobs.push_back(std::move(spec));
+  }
+  // The jobs differ only in their file names, so one check covers them all.
+  if (Status s = engine::check_job(manifest.jobs.front()); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.error().describe().c_str());
     return 2;
   }
+  if (out_dir) options.output_dir = *out_dir;
+  options.workers = std::min<unsigned>(options.workers, static_cast<unsigned>(inputs));
 
-  // --stats: per-stream telemetry JSON, one object per input in argument
-  // order — byte-identical for any --jobs count.
-  const auto write_stats = [&](const std::vector<CompressOutcome>& outcomes) {
-    if (!stats_path) return 0;
-    std::string json;
-    if (outcomes.size() == 1) {
-      json = outcomes[0].stats_json;
-    } else {
-      json = "[\n";
-      for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        json += outcomes[i].stats_json;
-        if (i + 1 < outcomes.size()) {
-          json.pop_back();  // swap the trailing newline for a separator
-          json += ",\n";
-        }
-      }
-      json += "]\n";
+  // Lines print, and --stats objects collect, in input order from the
+  // ordered commit — byte-identical for any --jobs count.
+  obs::TraceSpan span("cli.compress");
+  std::size_t committed = 0;
+  std::size_t failed = 0;
+  std::vector<std::string> stats;
+  engine::Engine(options).run(manifest, [&](const engine::JobOutcome& job) {
+    const engine::JobSpec& spec = manifest.jobs[committed++];
+    if (!job.ok()) {
+      std::fprintf(stderr, "%s: %s\n", spec.input_path.c_str(),
+                   job.status.error().describe().c_str());
+      ++failed;
+      return;
     }
-    return emit_text(stats_path, json);
-  };
-
-  if (!out_dir) {
-    const CompressOutcome outcome =
-        compress_one(pos[0], pos[1], config, container, codec_mode, chunk_trits);
-    std::printf("%s\n", outcome.line.c_str());
-    return write_stats({outcome});
+    std::printf("%s\n", compress_line(spec, job).c_str());
+    if (stats_path) stats.push_back(compress_stats_json(spec, job));
+  });
+  if (failed != 0) return 1;
+  if (!stats_path) return 0;
+  if (stats.size() == 1) return emit_text(stats_path, stats.front());
+  std::string json;
+  for (std::string& object : stats) {
+    object.pop_back();  // its trailing newline becomes the separator's
+    json += (json.empty() ? "[\n" : ",\n") + object;
   }
-
-  // --out-dir: every positional is an input; <dir>/<stem>.tdclzw each,
-  // compressed across the pool, lines printed in input order.
-  std::filesystem::create_directories(*out_dir);
-  exp::ThreadPool pool(jobs);
-  const auto outcomes =
-      exp::parallel_map(pool, pos, [&](const std::string& in) {
-        std::string stem = basename_of(in);
-        if (const std::size_t dot = stem.rfind(".tests");
-            dot != std::string::npos && dot == stem.size() - 6) {
-          stem.resize(dot);
-        }
-        return compress_one(in, *out_dir + "/" + stem + ".tdclzw", config,
-                            container, codec_mode, chunk_trits);
-      });
-  for (const CompressOutcome& o : outcomes) std::printf("%s\n", o.line.c_str());
-  return write_stats(outcomes);
+  return emit_text(stats_path, json + "\n]\n");
 }
 
 int cmd_decompress(exp::Args& args) {
@@ -1001,12 +976,6 @@ std::optional<std::string> read_file_bytes(const std::string& path) {
   return std::move(buf).str();
 }
 
-bool write_file_bytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary);
-  return static_cast<bool>(out.write(bytes.data(),
-                                     static_cast<std::streamsize>(bytes.size())));
-}
-
 int cmd_client(exp::Args& args) {
   service::ClientOptions options;
   options.connect_wait_ms =
@@ -1018,20 +987,9 @@ int cmd_client(exp::Args& args) {
       args.value("--trace-id").value_or("cli-" + std::to_string(::getpid()));
 
   // compress knobs, forwarded as frame params (only when given, so the
-  // daemon's defaults — identical to the offline tool's — apply otherwise).
-  std::vector<std::pair<std::string, std::string>> params;
-  for (const char* flag : {"--dict", "--char", "--entry"}) {
-    if (const auto v = args.value(flag)) {
-      params.emplace_back(flag + 2, *v);  // strip "--"
-    }
-  }
-  if (const auto v = args.value("--chunk-trits")) {
-    params.emplace_back("chunk_trits", *v);
-  }
-  if (const auto v = args.value("--chunk-bytes")) params.emplace_back("chunk", *v);
-  if (const auto v = args.value("--codec")) params.emplace_back("codec", *v);
-  if (args.flag("--variable")) params.emplace_back("variable", "1");
-  if (args.flag("--v1")) params.emplace_back("container", "1");
+  // daemon's defaults — identical to the offline tool's — apply otherwise);
+  // the daemon sets and checks them exactly as `compress` does.
+  std::vector<std::pair<std::string, std::string>> params = compress_params(args);
   const bool openmetrics = args.flag("--openmetrics");
   const std::optional<std::string> out_path = args.value("--out");
 
@@ -1072,8 +1030,8 @@ int cmd_client(exp::Args& args) {
     Result<service::Frame> resp =
         client.value().call(op, std::move(params), std::move(*input));
     if (!resp.ok()) return fail(pos[2], resp.error());
-    if (!write_file_bytes(pos[3], resp.value().payload)) {
-      std::fprintf(stderr, "cannot write %s\n", pos[3].c_str());
+    if (Status s = core::write_whole(pos[3], resp.value().payload); !s.ok()) {
+      std::fprintf(stderr, "%s\n", s.error().describe().c_str());
       return 1;
     }
     const service::Frame& r = resp.value();

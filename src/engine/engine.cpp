@@ -3,16 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <future>
 #include <map>
 #include <sstream>
 
-#include "codec/select.h"
+#include "core/file_io.h"
 #include "exp/flow.h"
 #include "exp/table.h"
 #include "lzw/stream_io.h"
-#include "lzw/verify.h"
 #include "obs/trace.h"
 #include "scan/testset_io.h"
 
@@ -173,6 +171,7 @@ Status stage_encode(Job& job, MetricsRegistry& metrics) {
     job.outcome.compressed_bits = job.chunks.stats_bits;
     job.outcome.ratio_percent = codec::ratio_percent(job.chunks.original_bits,
                                                      job.chunks.stats_bits);
+    job.outcome.choices = std::move(job.chunks.choices);
     return {};
   }
   return guarded([&]() -> Status {
@@ -181,6 +180,7 @@ Status stage_encode(Job& job, MetricsRegistry& metrics) {
     job.outcome.original_bits = job.encoded.original_bits;
     job.outcome.compressed_bits = job.encoded.compressed_bits();
     job.outcome.ratio_percent = job.encoded.ratio_percent();
+    job.outcome.telemetry = std::move(job.encoded.telemetry);
     return {};
   });
 }
@@ -205,8 +205,9 @@ Status stage_container(Job& job) {
 
 Status stage_verify(Job& job) {
   // End-to-end check of what was actually containerized: read the bytes
-  // back, decode, and prove the expansion covers every care bit of the
-  // input — the invariant the whole repository is built around.
+  // back, decode, and prove the expansion is fully specified and covers
+  // every care bit of the input — the invariant the whole repository is
+  // built around.
   std::istringstream in(job.container);
   Result<lzw::CompressedImage> image = lzw::try_read_image(in);
   if (!image.ok()) return image.error();
@@ -217,6 +218,10 @@ Status stage_verify(Job& job) {
   if (decoded.value().size() != job.stream.size()) {
     return typed_error(ErrorKind::StreamTooShort,
                        "decoded stream length mismatch");
+  }
+  if (!decoded.value().fully_specified()) {
+    return typed_error(ErrorKind::ConfigMismatch,
+                       "decoded stream still holds don't-care bits");
   }
   if (!job.stream.covered_by(decoded.value())) {
     return typed_error(ErrorKind::ConfigMismatch,
@@ -415,12 +420,7 @@ BatchResult Engine::run(const Manifest& manifest, const CommitCallback& on_commi
           if (target.has_parent_path()) {
             std::filesystem::create_directories(target.parent_path());
           }
-          std::ofstream out(job.output_path, std::ios::binary);
-          if (!out.write(job.container.data(),
-                         static_cast<std::streamsize>(job.container.size()))) {
-            return typed_error(ErrorKind::IoError, "cannot write " + job.output_path);
-          }
-          return {};
+          return core::write_whole(job.output_path, job.container);
         });
         commit_m.micros->record(micros_since(start));
       }

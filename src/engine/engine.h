@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "codec/select.h"
 #include "core/error.h"
 #include "core/thread_safety.h"
 #include "engine/manifest.h"
@@ -51,6 +52,12 @@ struct JobOutcome {
   std::string output_path;  ///< resolved destination; empty if none
   std::string container;    ///< container bytes when no output_path was given
 
+  /// What the encode stage saw, moved out of it for reports such as
+  /// `compress --stats`: the LZW encoder's telemetry (whole-buffer jobs) or
+  /// the per-chunk codec picks (codec= jobs).
+  lzw::EncoderTelemetry telemetry;
+  std::vector<codec::ChunkChoice> choices;
+
   bool ok() const { return status.ok() && !cancelled; }
 };
 
@@ -83,7 +90,8 @@ using CommitCallback = std::function<void(const JobOutcome&)>;
 /// stages would only add hand-offs. The calling thread admits at most
 /// 2 * workers jobs that are queued or running, and commits finished jobs
 /// strictly in manifest order from a slot vector: output files are written
-/// and the commit callback fires in the same sequence for any worker count,
+/// whole (core::write_whole: temp file, fsync, rename) and the commit
+/// callback fires in the same sequence for any worker count,
 /// and since every stage is deterministic per job, the committed bytes are
 /// too. A finished job waits in its slot holding only its outcome and
 /// container, so a slow head job never idles the other workers.

@@ -58,6 +58,26 @@ const char* xassign_name(lzw::XAssignMode mode);
 Result<lzw::Tiebreak> parse_tiebreak(const std::string& name);
 Result<lzw::XAssignMode> parse_xassign(const std::string& name);
 
+/// Sets one compression parameter of `spec` — the one map from a compress
+/// key to a JobSpec field, shared by the manifest's `key=value` tokens, the
+/// daemon's compress params and the CLI's compress flags. Keys: dict, char,
+/// entry, variable (1|0), tiebreak
+/// (first|lowestchar|mostrecent|mostchildren|lookahead), xassign
+/// (dynamic|zero|one|repeat|random), seed, container (1|2), chunk (v2
+/// chunk_bytes), codec (a codec token|auto|race — selects the v3
+/// multi-codec container), chunk_trits (per-chunk granularity for codec=
+/// jobs). The input source, name and destination are not compress
+/// parameters: they, like any other key, are refused. Only the field itself
+/// is checked; check_job() judges the whole spec. ConfigMismatch on refusal.
+Status set_job_param(JobSpec& spec, const std::string& key, const std::string& value);
+
+/// Checks a whole spec before it runs — the one definition of a valid job:
+/// exactly one input source, a realizable LzwConfig (LzwConfig::check),
+/// chunk 0 or >= 64, and for codec= jobs xassign=dynamic, the default
+/// container knobs and chunk_trits <= 2^30 (chunk_trits needs codec=).
+/// ConfigMismatch naming the first rule broken.
+Status check_job(const JobSpec& spec);
+
 /// Parses the line-oriented manifest format:
 ///
 ///     # opentdc batch manifest
@@ -65,17 +85,13 @@ Result<lzw::XAssignMode> parse_xassign(const std::string& name);
 ///     job name=first input=a.tests dict=1024 char=7 entry=63 out=a.tdclzw
 ///     job name=v1 gen=itc_b09f dict=256 tiebreak=lookahead container=1
 ///
-/// One `job` line per job, `key=value` tokens plus the bare flag
-/// `variable`. Keys: name, input, gen, dict, char, entry, tiebreak
-/// (first|lowestchar|mostrecent|mostchildren|lookahead), xassign
-/// (dynamic|zero|one|repeat|random), seed, container (1|2), chunk, out,
-/// codec (a codec token|auto|race — selects the v3 multi-codec container),
-/// chunk_trits (per-chunk granularity for codec= jobs).
+/// One `job` line per job: `name`, `input`, `gen` and `out` tokens plus the
+/// set_job_param() keys as `key=value`, and the bare flag `variable`.
 /// Relative input paths resolve against `base_dir`; output paths are left
 /// relative (the engine's output_dir option anchors them at run time).
-/// Every job is validated here — config realizability, container options,
-/// duplicate names — so the pipeline only ever sees runnable specs.
-/// Errors are typed ConfigMismatch with the offending line number.
+/// Every job passes check_job() and names are unique, so the engine only
+/// ever sees runnable specs. Errors are typed ConfigMismatch with the
+/// offending line number.
 Result<Manifest> parse_manifest(std::istream& in, const std::string& base_dir = {});
 
 /// parse_manifest over a file; IoError if it cannot be opened.

@@ -1,15 +1,13 @@
 #include "exp/flow.h"
 
-#include <unistd.h>
-
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string_view>
-#include <thread>
 
+#include "core/file_io.h"
 #include "exp/thread_pool.h"
 #include "gen/circuit_gen.h"
 #include "scan/testset_io.h"
@@ -33,18 +31,6 @@ std::string coverage_path(const gen::CircuitProfile& profile) {
   return cache_dir() + "/" + profile.name + ".coverage";
 }
 
-/// Writes `path` whole: `write` fills a sibling temp file unique to this
-/// process and thread, which is then renamed over `path`. A concurrent
-/// reader sees no file or a complete one, never a partial write, and
-/// concurrent writers of the same file never share a temp file.
-template <typename Write>
-void write_whole(const std::string& path, Write&& write) {
-  std::ostringstream tmp;
-  tmp << path << ".tmp." << ::getpid() << "." << std::this_thread::get_id();
-  write(tmp.str());
-  std::filesystem::rename(tmp.str(), path);
-}
-
 }  // namespace
 
 PreparedCircuit prepare(const gen::CircuitProfile& profile) {
@@ -66,16 +52,14 @@ PreparedCircuit prepare(const gen::CircuitProfile& profile) {
                                              profile.generator.seed ^ 0xF11Du);
   out.fault_coverage = result.stats.fault_coverage();
 
-  // The tests file is what readers test for, so it lands last: once it
-  // exists, its coverage side-file is already complete.
+  // Both files are written whole (core::write_whole). The tests file is
+  // what readers test for, so it lands last: once it exists, its coverage
+  // side-file is already complete.
   std::filesystem::create_directories(cache_dir());
-  write_whole(coverage_path(profile), [&out](const std::string& tmp) {
-    std::ofstream cov(tmp);
-    cov << out.fault_coverage << "\n";
-  });
-  write_whole(tests_file, [&out](const std::string& tmp) {
-    scan::write_tests_file(tmp, out.tests);
-  });
+  std::ostringstream cov;
+  cov << out.fault_coverage << "\n";
+  core::write_whole(coverage_path(profile), cov.str()).ok_or_throw();
+  scan::write_tests_file(tests_file, out.tests);
   return out;
 }
 

@@ -5,11 +5,13 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "core/contracts.h"
 #include "core/crc32.h"
+#include "core/file_io.h"
 
 namespace tdc::lzw {
 
@@ -502,16 +504,6 @@ void write_image_v3(std::ostream& out, const LzwConfig& config,
   if (!out) Error{ErrorKind::IoError, "write_image_v3: stream error"}.raise();
 }
 
-void write_image_v3_file(const std::string& path, const LzwConfig& config,
-                         std::uint64_t original_bits, std::uint32_t chunk_trits,
-                         const std::vector<ChunkRecord>& chunks) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    Error{ErrorKind::IoError, "write_image_v3_file: cannot open " + path}.raise();
-  }
-  write_image_v3(out, config, original_bits, chunk_trits, chunks);
-}
-
 // ---------------------------------------------------------------- readers
 
 Result<CompressedImage> try_read_image(std::istream& in) {
@@ -535,9 +527,9 @@ CompressedImage read_image(std::istream& in) {
 
 void write_image_file(const std::string& path, const EncodeResult& encoded,
                       const ContainerOptions& options) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) Error{ErrorKind::IoError, "write_image_file: cannot open " + path}.raise();
+  std::ostringstream out;
   write_image(out, encoded, options);
+  core::write_whole(path, std::move(out).str()).ok_or_throw();
 }
 
 Result<CompressedImage> try_read_image_file(const std::string& path) {

@@ -128,10 +128,6 @@ void write_image_v3(std::ostream& out, const LzwConfig& config,
                     std::uint64_t original_bits, std::uint32_t chunk_trits,
                     const std::vector<ChunkRecord>& chunks);
 
-void write_image_v3_file(const std::string& path, const LzwConfig& config,
-                         std::uint64_t original_bits, std::uint32_t chunk_trits,
-                         const std::vector<ChunkRecord>& chunks);
-
 /// Strict reader for both container versions: every field is bounds-checked,
 /// every integrity check typed — TruncatedHeader, BadMagic,
 /// UnsupportedVersion, HeaderCrcMismatch, ConfigMismatch, TruncatedPayload,
@@ -142,6 +138,8 @@ Result<CompressedImage> try_read_image(std::istream& in);
 /// Throwing wrapper over try_read_image (ContainerError / DecodeError).
 CompressedImage read_image(std::istream& in);
 
+/// write_image into `path`, written whole (core::write_whole): an IoError
+/// leaves no partial file behind.
 void write_image_file(const std::string& path, const EncodeResult& encoded,
                       const ContainerOptions& options = {});
 Result<CompressedImage> try_read_image_file(const std::string& path);

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/file_io.h"
+
 namespace tdc::scan {
 
 void write_tests(std::ostream& out, const TestSet& tests) {
@@ -94,9 +96,9 @@ TestSet read_tests(std::string_view text) {
 TestSet read_tests(std::istream& in) { return read_tests(slurp(in)); }
 
 void write_tests_file(const std::string& path, const TestSet& tests) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("write_tests_file: cannot open " + path);
+  std::ostringstream out;
   write_tests(out, tests);
+  core::write_whole(path, std::move(out).str()).ok_or_throw();
 }
 
 TestSet read_tests_file(const std::string& path) {

@@ -36,6 +36,8 @@ TestSet read_tests(std::string_view text);
 /// Reads `in` to its end and parses it with read_tests(std::string_view).
 TestSet read_tests(std::istream& in);
 
+/// write_tests into `path`, written whole (core::write_whole); throws
+/// std::runtime_error (ContainerError, IoError) when it cannot be written.
 void write_tests_file(const std::string& path, const TestSet& tests);
 TestSet read_tests_file(const std::string& path);
 

@@ -67,25 +67,6 @@ struct Waiter {
   }
 };
 
-Result<std::uint32_t> u32_param(const Frame& frame, const std::string& key,
-                                std::uint32_t fallback) {
-  if (!frame.has_param(key)) return fallback;
-  const std::string text = frame.param(key);
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9' || value > 0xffffffffull) {
-      return typed_error(ErrorKind::ProtocolError,
-                         "param " + key + " is not a u32: " + text);
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  if (text.empty() || value > 0xffffffffull) {
-    return typed_error(ErrorKind::ProtocolError,
-                       "param " + key + " is not a u32: " + text);
-  }
-  return static_cast<std::uint32_t>(value);
-}
-
 std::string u64_str(std::uint64_t v) { return std::to_string(v); }
 
 /// Known ops get their own serve.<op>.* scope; everything else shares
@@ -318,49 +299,28 @@ Frame Dispatcher::dispatch(const Frame& request) {
 }
 
 Frame Dispatcher::do_compress(const Frame& request) {
-  // Build the JobSpec on the connection thread (parse errors answer
-  // immediately, without costing a pool slot), run it on the pool.
+  // Build and check the JobSpec on the connection thread, so a refused
+  // request answers at once without taking a pool slot. Every param but the
+  // request's own name and trace id is a compress key of the manifest.
   engine::JobSpec spec;
   spec.name = request.param("name", "req-" + request.id);
   spec.trace = request.param("trace");
-
-  Result<std::uint32_t> dict = u32_param(request, "dict", spec.config.dict_size);
-  Result<std::uint32_t> chr = u32_param(request, "char", spec.config.char_bits);
-  Result<std::uint32_t> entry =
-      u32_param(request, "entry", spec.config.entry_bits);
-  Result<std::uint32_t> container =
-      u32_param(request, "container", spec.container.version);
-  Result<std::uint32_t> chunk =
-      u32_param(request, "chunk", spec.container.chunk_bytes);
-  Result<std::uint32_t> chunk_trits = u32_param(request, "chunk_trits", 0);
-  for (const auto* r : {&dict, &chr, &entry, &container, &chunk, &chunk_trits}) {
-    if (!r->ok()) return make_error_frame(request.id, r->error());
-  }
-  spec.config.dict_size = dict.value();
-  spec.config.char_bits = chr.value();
-  spec.config.entry_bits = entry.value();
-  spec.config.variable_width = request.param("variable") == "1";
-  spec.container.version = container.value();
-  spec.container.chunk_bytes = chunk.value();
-  spec.codec = request.param("codec");
-  spec.chunk_trits = chunk_trits.value();
-
-  if (!spec.codec.empty()) {
-    if (const auto mode = codec::parse_codec_mode(spec.codec); !mode.ok()) {
-      return make_error_frame(request.id, mode.error());
+  for (const auto& [key, value] : request.params) {
+    if (key == "name" || key == "trace") continue;
+    if (Status s = engine::set_job_param(spec, key, value); !s.ok()) {
+      return make_error_frame(request.id, s.error());
     }
   }
-
-  // Parse the .tests payload up front, with the engine's exception mapping.
   {
-    Result<Frame> parsed =
-        guarded_frame([&spec, &request]() -> Result<Frame> {
-          spec.config.validate();
-          spec.inline_tests = std::make_shared<const scan::TestSet>(
-              scan::read_tests(request.payload));
-          return Frame{};
-        });
+    Result<Frame> parsed = guarded_frame([&spec, &request]() -> Result<Frame> {
+      spec.inline_tests = std::make_shared<const scan::TestSet>(
+          scan::read_tests(request.payload));
+      return Frame{};
+    });
     if (!parsed.ok()) return make_error_frame(request.id, parsed.error());
+  }
+  if (Status s = engine::check_job(spec); !s.ok()) {
+    return make_error_frame(request.id, s.error());
   }
 
   auto waiter = std::make_shared<Waiter>();

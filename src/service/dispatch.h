@@ -60,10 +60,15 @@ class SlowLog {
 /// Operations:
 ///   ping        payload echoed back — liveness and framing check
 ///   compress    payload: .tests text → payload: TDCLZW container bytes.
-///               Params (all optional): dict, char, entry, variable=1,
-///               container=1|2, chunk (v2 chunk_bytes), codec, chunk_trits,
-///               name. Defaults match `tdc_cli compress` exactly, so the
-///               returned bytes are identical to the offline tool's file.
+///               Params (all optional): the manifest's codec keys — dict,
+///               char, entry, variable=1, tiebreak, xassign, seed,
+///               container=1|2, chunk, codec, chunk_trits — set through
+///               engine::set_job_param and checked whole by
+///               engine::check_job, plus name. An unknown key, or one that
+///               names a file (input, gen, out), is refused with
+///               ConfigMismatch before the job takes a pool slot. Defaults
+///               match `tdc_cli compress` exactly, so the returned bytes are
+///               identical to the offline tool's file.
 ///   decompress  payload: container bytes → payload: .tests text (the same
 ///               single-cube set `tdc_cli decompress` writes).
 ///   verify      payload: container bytes → integrity + decode check;

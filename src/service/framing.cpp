@@ -1,6 +1,7 @@
 #include "service/framing.h"
 
 #include <array>
+#include <cstdlib>
 #include <cstring>
 
 #include "service/socket.h"
@@ -10,6 +11,14 @@ namespace tdc::service {
 namespace {
 
 constexpr const char* kMagic = "tdcd/1";
+
+/// The position fields of an Error, by their error-frame param names.
+constexpr std::array<std::pair<const char*, std::int64_t Error::*>, 4> kPositions = {{
+    {"chunk_index", &Error::chunk_index},
+    {"code_index", &Error::code_index},
+    {"bit_offset", &Error::bit_offset},
+    {"byte_offset", &Error::byte_offset},
+}};
 
 Error protocol_error(std::string message) {
   Error e;
@@ -220,7 +229,10 @@ Frame make_error_frame(const std::string& id, const Error& error) {
   frame.id = id;
   frame.op = "error";
   frame.add_param("kind", to_string(error.kind));
-  frame.payload = error.describe();
+  for (const auto& [name, field] : kPositions) {
+    if (error.*field >= 0) frame.add_param(name, std::to_string(error.*field));
+  }
+  frame.payload = error.message;
   return frame;
 }
 
@@ -230,6 +242,12 @@ Error decode_error_frame(const Frame& frame) {
   Error e;
   e.kind = kind.value();
   e.message = frame.payload;
+  for (const auto& [name, field] : kPositions) {
+    const std::string text = frame.param(name);
+    char* end = nullptr;
+    const long long value = std::strtoll(text.c_str(), &end, 10);
+    if (!text.empty() && *end == '\0' && value >= 0) e.*field = value;
+  }
   return e;
 }
 

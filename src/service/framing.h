@@ -21,8 +21,8 @@ namespace tdc::service {
 /// parameters); the payload carries bulk bytes — test-set text, TDCLZW2
 /// container records, JSON — so the framing never re-encodes what the
 /// container format already frames. Responses reuse the same shape with op
-/// "ok" or "error"; error frames carry `kind=<ErrorKind>` and put the full
-/// describe() text in the payload.
+/// "ok" or "error"; error frames carry `kind=<ErrorKind>` plus the error's
+/// set position fields as params and put its message in the payload.
 struct Frame {
   std::string id;  ///< request id, echoed verbatim in the response
   std::string op;  ///< operation ("compress", "ok", "error", ...)
@@ -88,11 +88,14 @@ class FrameReader {
 Result<ErrorKind> parse_error_kind(const std::string& name);
 
 /// The error-frame convention, in one place for server and client:
-/// op "error", kind= param, describe() text as payload.
+/// op "error", a kind= param, one param per set position field
+/// (chunk_index, code_index, bit_offset, byte_offset), the message as
+/// payload — so the decoded Error describe()s exactly like the original.
 Frame make_error_frame(const std::string& id, const Error& error);
 
-/// Reconstructs a typed Error from an error frame (kind= param + payload
-/// text); a frame without a recognizable kind decodes to a ProtocolError
+/// Reconstructs a typed Error from an error frame (kind= and position
+/// params + payload message); a frame without a recognizable kind decodes to
+/// a ProtocolError
 /// (the failure to decode is itself an Error, so no Result wrapper here).
 Error decode_error_frame(const Frame& frame);
 

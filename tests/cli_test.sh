@@ -273,6 +273,42 @@ grep -q '^# EOF$' "$WORK/metrics.txt"
 grep -c '^# EOF$' "$WORK/follow.txt" | grep -q 2
 grep -q '^# serve.requests ' "$WORK/follow.txt"
 
+# One job, three front ends: compress, client compress and a one-line
+# manifest all build the same JobSpec through the same setter and check, so
+# each flag set gives byte-identical containers from all three.
+three_way() {  # <name> <manifest keys> [compress flags...]
+  NAME="$1"; KEYS="$2"; shift 2
+  "$CLI" compress "$WORK/c.tests" "$WORK/fe_$NAME.cli.tdclzw" "$@" > /dev/null
+  "$CLI" client "$SOCK" compress "$WORK/c.tests" "$WORK/fe_$NAME.served.tdclzw" "$@" > /dev/null
+  printf 'job name=%s input=%s %s out=%s.tdclzw\n' \
+    "$NAME" "$WORK/c.tests" "$KEYS" "$NAME" > "$WORK/fe_$NAME.manifest"
+  "$CLI" batch "$WORK/fe_$NAME.manifest" --out-dir "$WORK/fe_batch" > /dev/null
+  cmp "$WORK/fe_$NAME.cli.tdclzw" "$WORK/fe_$NAME.served.tdclzw"
+  cmp "$WORK/fe_$NAME.cli.tdclzw" "$WORK/fe_batch/$NAME.tdclzw"
+}
+three_way default ""
+three_way v1 "dict=256 container=1" --dict 256 --v1
+three_way var "dict=256 variable chunk=0" --dict 256 --variable --chunk-bytes 0
+three_way auto "codec=auto" --codec auto
+
+# An invalid flag set is refused by check_job before anything runs: exit 2
+# and check_job's message, no output file; over the wire the same refusal
+# comes back as one ConfigMismatch, its kind printed once.
+RC=0
+"$CLI" compress "$WORK/c.tests" "$WORK/x.tdclzw" --chunk-bytes 10 2>"$WORK/chk1.txt" || RC=$?
+test "$RC" = 2
+grep -qx '\[ConfigMismatch\]: chunk must be 0 or >= 64' "$WORK/chk1.txt"
+RC=0
+"$CLI" compress "$WORK/c.tests" "$WORK/x.tdclzw" --codec auto --v1 2>"$WORK/chk2.txt" || RC=$?
+test "$RC" = 2
+grep -qx '\[ConfigMismatch\]: codec= jobs write a v3 container; drop container=/chunk=' "$WORK/chk2.txt"
+test ! -e "$WORK/x.tdclzw"
+if "$CLI" client "$SOCK" compress "$WORK/c.tests" "$WORK/x.tdclzw" --codec auto --v1 2>"$WORK/chk3.txt"; then
+  echo "daemon accepted --codec with --v1" >&2; exit 1
+fi
+grep -q "codec= jobs write a v3 container" "$WORK/chk3.txt"
+test "$(grep -o ConfigMismatch "$WORK/chk3.txt" | wc -l)" = 1
+
 # A hostile payload comes back as a typed error frame, not a dead daemon.
 if "$CLI" client "$SOCK" verify "$WORK/trunc.tdclzw" 2>"$WORK/serve_err.txt"; then
   echo "daemon verify accepted a truncated container" >&2; exit 1

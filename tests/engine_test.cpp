@@ -135,6 +135,49 @@ TEST(ManifestTest, RejectsBadInput) {
   expect_error("version 1\njob input=a\njob input=b container=9\n", "line 3");
 }
 
+/// The one setter and the one whole-spec check the manifest, the daemon and
+/// the CLI share: per-field refusals from the setter, cross-field ones from
+/// check_job, both typed ConfigMismatch.
+TEST(ManifestTest, SetJobParamAndCheckJob) {
+  JobSpec spec;
+  spec.input_path = "a.tests";
+  ASSERT_TRUE(set_job_param(spec, "dict", "256").ok());
+  ASSERT_TRUE(set_job_param(spec, "variable", "1").ok());
+  ASSERT_TRUE(set_job_param(spec, "tiebreak", "mostrecent").ok());
+  EXPECT_EQ(spec.config.dict_size, 256u);
+  EXPECT_TRUE(spec.config.variable_width);
+  EXPECT_EQ(spec.tiebreak, lzw::Tiebreak::MostRecent);
+  EXPECT_TRUE(check_job(spec).ok());
+
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"dict", "4294967296"}, {"dict", "-1"}, {"variable", "yes"},
+           {"container", "3"}, {"chunk_trits", "0"}, {"codec", "bogus"},
+           {"input", "a.tests"}, {"out", "a.tdclzw"}, {"seed", ""}}) {
+    JobSpec probe;
+    const Status s = set_job_param(probe, key, value);
+    ASSERT_FALSE(s.ok()) << key << "=" << value;
+    EXPECT_EQ(s.error().kind, ErrorKind::ConfigMismatch);
+  }
+
+  const auto refused = [&spec](void (*edit)(JobSpec&), const std::string& needle) {
+    JobSpec probe = spec;
+    edit(probe);
+    const Status s = check_job(probe);
+    ASSERT_FALSE(s.ok()) << needle;
+    EXPECT_EQ(s.error().kind, ErrorKind::ConfigMismatch);
+    EXPECT_NE(s.error().message.find(needle), std::string::npos) << s.error().message;
+  };
+  refused([](JobSpec& j) { j.gen_circuit = "itc_b09f"; }, "exactly one");
+  refused([](JobSpec& j) { j.config.char_bits = 0; }, "");
+  refused([](JobSpec& j) { j.container.chunk_bytes = 10; }, "chunk must be 0 or >= 64");
+  refused([](JobSpec& j) { j.chunk_trits = 512; }, "chunk_trits needs codec=");
+  refused([](JobSpec& j) { j.codec = "auto"; j.container.version = 1; }, "drop container=/chunk=");
+  refused([](JobSpec& j) { j.codec = "auto"; j.xassign = lzw::XAssignMode::ZeroFill; },
+          "xassign=dynamic");
+  refused([](JobSpec& j) { j.codec = "auto"; j.chunk_trits = (1u << 30) + 1; }, "chunk_trits");
+}
+
 TEST(ManifestTest, LoadReportsMissingFileAsIoError) {
   const Result<Manifest> r = load_manifest("/nonexistent/dir/batch.manifest");
   ASSERT_FALSE(r.ok());
@@ -290,6 +333,39 @@ TEST(EngineTest, WritesOutputFilesIdenticallyForAnyWorkerCount) {
     EXPECT_FALSE(bytes_a.empty());
     EXPECT_EQ(bytes_a, bytes_b) << job.output_path;
   }
+  fs::remove_all(root);
+}
+
+/// Outputs are written whole (core::write_whole): a destination that cannot
+/// be renamed onto — here an existing directory — fails that job with
+/// IoError and leaves no temp sibling behind, while the next job commits.
+TEST(EngineTest, FailedCommitLeavesNoTempFile) {
+  namespace fs = std::filesystem;
+  const fs::path root = fs::temp_directory_path() / "tdc_engine_commit_test";
+  fs::remove_all(root);
+  fs::create_directories(root / "blocked.tdclzw");
+
+  Manifest manifest = inline_manifest();
+  manifest.jobs.resize(2);
+  manifest.jobs[0].output_path = "blocked.tdclzw";
+  manifest.jobs[1].output_path = "ok.tdclzw";
+  EngineOptions options;
+  options.workers = 2;
+  options.output_dir = root.string();
+  const BatchResult result = Engine(options).run(manifest);
+
+  ASSERT_FALSE(result.jobs[0].ok());
+  EXPECT_EQ(result.jobs[0].status.error().kind, ErrorKind::IoError);
+  EXPECT_TRUE(result.jobs[1].ok()) << result.jobs[1].status.error().describe();
+  EXPECT_TRUE(fs::is_directory(root / "blocked.tdclzw"));
+  EXPECT_TRUE(fs::is_regular_file(root / "ok.tdclzw"));
+  std::size_t entries = 0;
+  for (const fs::directory_entry& entry : fs::directory_iterator(root)) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."), std::string::npos)
+        << entry.path();
+    ++entries;
+  }
+  EXPECT_EQ(entries, 2u);
   fs::remove_all(root);
 }
 

@@ -11,6 +11,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -19,6 +21,8 @@
 
 #include "bits/rng.h"
 #include "codec/select.h"
+#include "engine/engine.h"
+#include "engine/manifest.h"
 #include "lzw/encoder.h"
 #include "lzw/stream_io.h"
 #include "obs/trace.h"
@@ -216,7 +220,24 @@ TEST(FramingTest, ErrorFrameRoundTrip) {
   EXPECT_EQ(frame.id, "17");
   const Error back = decode_error_frame(frame);
   EXPECT_EQ(back.kind, ErrorKind::Busy);
-  EXPECT_NE(back.message.find("in-flight cap"), std::string::npos);
+  EXPECT_EQ(back.message, e.message);
+  EXPECT_EQ(back.describe(), e.describe());
+
+  // Every position field crosses the wire as a param and comes back typed,
+  // so the client's describe() reads exactly like the daemon's.
+  Error at;
+  at.kind = ErrorKind::ChunkCrcMismatch;
+  at.message = "bytes 40..104";
+  at.chunk_index = 3;
+  at.code_index = 17;
+  at.bit_offset = 153;
+  at.byte_offset = 40;
+  const Error decoded = decode_error_frame(make_error_frame("18", at));
+  EXPECT_EQ(decoded.chunk_index, 3);
+  EXPECT_EQ(decoded.code_index, 17);
+  EXPECT_EQ(decoded.bit_offset, 153);
+  EXPECT_EQ(decoded.byte_offset, 40);
+  EXPECT_EQ(decoded.describe(), at.describe());
 }
 
 // ----------------------------------------------------------------- server
@@ -377,10 +398,12 @@ TEST_F(ServiceTest, CorruptContainerComesBackAsTypedError) {
 TEST_F(ServiceTest, BadConfigParamsAreTypedNotFatal) {
   StartServer();
   Client client = MustConnect();
+  // A malformed value is refused by the same setter as a manifest's, with
+  // the same kind.
   Result<Frame> junk =
       client.call("compress", {{"dict", "notanumber"}}, tests_text(3));
   ASSERT_FALSE(junk.ok());
-  EXPECT_EQ(junk.error().kind, ErrorKind::ProtocolError);
+  EXPECT_EQ(junk.error().kind, ErrorKind::ConfigMismatch);
   Result<Frame> bad =
       client.call("compress", {{"dict", "3"}}, tests_text(3));
   ASSERT_FALSE(bad.ok());
@@ -467,6 +490,69 @@ std::uint64_t wait_for_counter(Client& client, const std::string& name,
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   return last;
+}
+
+/// Every compress param goes through engine::set_job_param and the whole
+/// spec through engine::check_job on the connection thread: a refused
+/// request is a ConfigMismatch frame and never reaches the encoder.
+TEST_F(ServiceTest, RefusesInvalidCompressParamsBeforeEncoding) {
+  StartServer();
+  Client client = MustConnect();
+  const std::string text = tests_text(5);
+  const std::vector<std::vector<std::pair<std::string, std::string>>> refused = {
+      {{"codec", "auto"}, {"container", "1"}},
+      {{"chunk_trits", "512"}},
+      {{"chunk", "10"}},
+      {{"tiebreak", "bogus"}},
+      {{"input", "/etc/passwd"}},
+      {{"gen", "s5378f"}},
+      {{"out", "/tmp/x.tdclzw"}},
+      {{"frobnicate", "1"}},
+  };
+  for (const auto& params : refused) {
+    Result<Frame> resp = client.call("compress", params, text);
+    ASSERT_FALSE(resp.ok()) << params.front().first;
+    EXPECT_EQ(resp.error().kind, ErrorKind::ConfigMismatch)
+        << resp.error().describe();
+  }
+  Result<Frame> stats = client.call("stats");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(counter_value(stats.value().payload, "encode.in"), 0u);
+
+  // The counter is live: one accepted request moves it.
+  ASSERT_TRUE(client.call("compress", {{"dict", "256"}}, text).ok());
+  stats = client.call("stats");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(counter_value(stats.value().payload, "encode.in"), 1u);
+}
+
+/// A key the manifest accepts means the same over the wire: the daemon's
+/// container equals the batch engine's for the same keys.
+TEST_F(ServiceTest, CompressParamsMatchTheManifestJob) {
+  namespace fs = std::filesystem;
+  const fs::path input = fs::temp_directory_path() /
+                         ("tdc_svc_lookahead_" + std::to_string(::getpid()) + ".tests");
+  const std::string text = tests_text(31);
+  std::ofstream(input, std::ios::binary) << text;
+  std::istringstream manifest_text("job input=" + input.string() +
+                                   " dict=256 tiebreak=lookahead\n");
+  Result<engine::Manifest> manifest = engine::parse_manifest(manifest_text);
+  ASSERT_TRUE(manifest.ok()) << manifest.error().describe();
+  const engine::BatchResult batch =
+      engine::Engine(engine::EngineOptions{.workers = 1}).run(manifest.value());
+  fs::remove(input);
+  ASSERT_TRUE(batch.jobs.at(0).ok()) << batch.jobs[0].status.error().describe();
+
+  StartServer();
+  Client client = MustConnect();
+  Result<Frame> resp =
+      client.call("compress", {{"dict", "256"}, {"tiebreak", "lookahead"}}, text);
+  ASSERT_TRUE(resp.ok()) << resp.error().describe();
+  EXPECT_EQ(resp.value().payload, batch.jobs[0].container);
+  // Lookahead is not the default: the bytes differ from a first-child run.
+  Result<Frame> first = client.call("compress", {{"dict", "256"}}, text);
+  ASSERT_TRUE(first.ok());
+  EXPECT_NE(first.value().payload, resp.value().payload);
 }
 
 TEST_F(ServiceTest, TruncatedFrameDoesNotWedgeTheServer) {
