@@ -711,25 +711,25 @@ int cmd_decompress(exp::Args& args) {
   }
   // decode_image handles every container version: v1/v2 through the LZW
   // image decoder, v3 through the per-chunk codec registry.
-  const Result<bits::TritVector> decoded = codec::decode_image(image.value());
+  Result<bits::TritVector> decoded = codec::decode_image(image.value());
   if (!decoded.ok()) {
     std::fprintf(stderr, "%s: %s\n", pos[0].c_str(),
                  decoded.error().describe().c_str());
     return 1;
   }
 
+  const std::size_t bit_count = decoded.value().size();
   scan::TestSet out;
   out.circuit = "decompressed";
   // Without side information the stream is one long vector; emit it as a
   // single-pattern set (downstream tools re-split by their known width).
-  out.width = static_cast<std::uint32_t>(decoded.value().size());
-  out.cubes.push_back(decoded.value());
+  out.width = static_cast<std::uint32_t>(bit_count);
+  out.cubes.push_back(std::move(decoded).take());
   scan::write_tests_file(pos[1], out);
   std::printf("%s: %llu %s -> %llu bits -> %s\n", pos[0].c_str(),
               static_cast<unsigned long long>(image.value().code_count),
               image.value().multi_codec() ? "records" : "codes",
-              static_cast<unsigned long long>(decoded.value().size()),
-              pos[1].c_str());
+              static_cast<unsigned long long>(bit_count), pos[1].c_str());
   return 0;
 }
 

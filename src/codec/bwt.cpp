@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "bits/bitstream.h"
+#include "core/bytes.h"
 #include "core/contracts.h"
 
 namespace tdc::codec {
@@ -16,39 +17,6 @@ namespace {
 constexpr std::uint32_t kMinBlockBytes = 16;
 constexpr std::uint32_t kMaxBlockBytes = 1u << 24;
 constexpr std::uint64_t kMaxPackedBytes = 1ull << 32;
-
-// ------------------------------------------------------------- wire helpers
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-struct Cursor {
-  const std::vector<std::uint8_t>& bytes;
-  std::size_t pos = 0;
-
-  bool get_u32(std::uint32_t& v) {
-    if (bytes.size() - pos < 4) return false;
-    v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | bytes[pos + static_cast<std::size_t>(i)];
-    pos += 4;
-    return true;
-  }
-
-  bool get_u64(std::uint64_t& v) {
-    if (bytes.size() - pos < 8) return false;
-    v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | bytes[pos + static_cast<std::size_t>(i)];
-    pos += 8;
-    return true;
-  }
-
-  bool exhausted() const { return pos == bytes.size(); }
-};
 
 Error malformed(const std::string& what) {
   return Error{ErrorKind::InvalidInput, "BWT: malformed chunk payload: " + what};
@@ -231,21 +199,21 @@ BwtResult bwt_mtf_huffman_encode(const bits::TritVector& input,
   BwtResult result;
   result.config = config;
   result.original_bits = input.size();
-  put_u32(result.payload, config.block_bytes);
-  put_u64(result.payload, packed.size());
-  put_u32(result.payload, block_count);
-  for (const std::uint32_t p : primaries) put_u32(result.payload, p);
-  put_u32(result.payload, coded.config.block_bits);
-  put_u32(result.payload, coded.config.codebook_size);
-  put_u32(result.payload, static_cast<std::uint32_t>(coded.codebook.size()));
-  put_u32(result.payload, coded.escape_code);
-  put_u32(result.payload, coded.escape_len);
+  core::put<std::uint32_t>(result.payload, config.block_bytes);
+  core::put<std::uint64_t>(result.payload, packed.size());
+  core::put<std::uint32_t>(result.payload, block_count);
+  for (const std::uint32_t p : primaries) core::put<std::uint32_t>(result.payload, p);
+  core::put<std::uint32_t>(result.payload, coded.config.block_bits);
+  core::put<std::uint32_t>(result.payload, coded.config.codebook_size);
+  core::put<std::uint32_t>(result.payload, static_cast<std::uint32_t>(coded.codebook.size()));
+  core::put<std::uint32_t>(result.payload, coded.escape_code);
+  core::put<std::uint32_t>(result.payload, coded.escape_len);
   for (const HuffmanEntry& e : coded.codebook) {
-    put_u64(result.payload, e.pattern);
-    put_u32(result.payload, e.code);
-    put_u32(result.payload, e.code_len);
+    core::put<std::uint64_t>(result.payload, e.pattern);
+    core::put<std::uint32_t>(result.payload, e.code);
+    core::put<std::uint32_t>(result.payload, e.code_len);
   }
-  put_u64(result.payload, coded.stream.bit_count());
+  core::put<std::uint64_t>(result.payload, coded.stream.bit_count());
   const auto& stream_bytes = coded.stream.bytes();
   result.payload.insert(result.payload.end(), stream_bytes.begin(), stream_bytes.end());
   return result;
@@ -253,12 +221,12 @@ BwtResult bwt_mtf_huffman_encode(const bits::TritVector& input,
 
 Result<bits::TritVector> bwt_mtf_huffman_decode(
     const std::vector<std::uint8_t>& payload, std::uint64_t trit_count) {
-  Cursor cur{payload};
+  core::ByteReader cur(payload);
   std::uint32_t block_bytes = 0;
   std::uint64_t packed_bytes = 0;
   std::uint32_t block_count = 0;
-  if (!cur.get_u32(block_bytes) || !cur.get_u64(packed_bytes) ||
-      !cur.get_u32(block_count)) {
+  if (!cur.get(block_bytes) || !cur.get(packed_bytes) ||
+      !cur.get(block_count)) {
     return malformed("truncated geometry header");
   }
   if (block_bytes < kMinBlockBytes || block_bytes > kMaxBlockBytes) {
@@ -271,16 +239,18 @@ Result<bits::TritVector> bwt_mtf_huffman_decode(
   if (block_count != expected_blocks) {
     return malformed("block count does not match the geometry");
   }
+  // Sized only once the payload holds the whole table.
+  if (cur.remaining() / 4 < block_count) return malformed("truncated primary-index table");
   std::vector<std::uint32_t> primaries(block_count);
   for (std::uint32_t& p : primaries) {
-    if (!cur.get_u32(p)) return malformed("truncated primary-index table");
+    if (!cur.get(p)) return malformed("truncated primary-index table");
   }
 
   HuffmanResult coded;
   std::uint32_t entry_count = 0;
-  if (!cur.get_u32(coded.config.block_bits) || !cur.get_u32(coded.config.codebook_size) ||
-      !cur.get_u32(entry_count) || !cur.get_u32(coded.escape_code) ||
-      !cur.get_u32(coded.escape_len)) {
+  if (!cur.get(coded.config.block_bits) || !cur.get(coded.config.codebook_size) ||
+      !cur.get(entry_count) || !cur.get(coded.escape_code) ||
+      !cur.get(coded.escape_len)) {
     return malformed("truncated Huffman header");
   }
   if (coded.config.block_bits != 8 || entry_count > (1u << 16) ||
@@ -289,7 +259,7 @@ Result<bits::TritVector> bwt_mtf_huffman_decode(
   }
   coded.codebook.resize(entry_count);
   for (HuffmanEntry& e : coded.codebook) {
-    if (!cur.get_u64(e.pattern) || !cur.get_u32(e.code) || !cur.get_u32(e.code_len)) {
+    if (!cur.get(e.pattern) || !cur.get(e.code) || !cur.get(e.code_len)) {
       return malformed("truncated codebook entry");
     }
     if (e.code_len < 1 || e.code_len > 32) {
@@ -297,12 +267,14 @@ Result<bits::TritVector> bwt_mtf_huffman_decode(
     }
   }
   std::uint64_t stream_bits = 0;
-  if (!cur.get_u64(stream_bits)) return malformed("truncated stream header");
-  const std::uint64_t stream_bytes = (stream_bits + 7) / 8;
-  if (payload.size() - cur.pos != stream_bytes) {
+  if (!cur.get(stream_bits)) return malformed("truncated stream header");
+  // Rounded up without `stream_bits + 7`, which wraps for a hostile count.
+  const std::uint64_t stream_bytes = stream_bits / 8 + (stream_bits % 8 != 0 ? 1 : 0);
+  std::span<const std::uint8_t> stream;
+  if (cur.remaining() != stream_bytes || !cur.take(stream_bytes, stream)) {
     return malformed("stream byte count does not match the payload");
   }
-  coded.stream = bits::BitWriter::from_bytes(payload.data() + cur.pos,
+  coded.stream = bits::BitWriter::from_bytes(stream.data(),
                                              static_cast<std::size_t>(stream_bits));
   coded.original_bits = packed_bytes * 8;
 

@@ -6,6 +6,7 @@
 
 #include "bits/bitstream.h"
 #include "codec/bwt.h"
+#include "core/bytes.h"
 #include "lzw/decoder.h"
 #include "obs/trace.h"
 
@@ -84,60 +85,28 @@ Result<T> guarded(const Fn& fn) {
 // Every chunk payload is self-contained: the fields the decoder needs
 // (per-codec configuration, codebooks, bit counts) ride in-band, so the
 // canonical registry instance for a codec id can expand any chunk
-// regardless of the encode-time parameterization. Integers little-endian;
-// bit streams are BitWriter images (MSB-first within bytes).
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
+// regardless of the encode-time parameterization. Integers little-endian,
+// written with core::put and read back through a bounds-checked
+// core::ByteReader; bit streams are BitWriter images (MSB-first within
+// bytes).
 
 void put_stream(std::vector<std::uint8_t>& out, const bits::BitWriter& stream) {
-  put_u64(out, stream.bit_count());
+  core::put<std::uint64_t>(out, stream.bit_count());
   const auto& bytes = stream.bytes();
   out.insert(out.end(), bytes.begin(), bytes.end());
 }
 
-/// Bounds-checked reads over an untrusted chunk payload. Every getter
-/// returns false once the payload is exhausted; `error()` renders the
-/// typed InvalidInput the decode entry points report.
-struct PayloadCursor {
-  const std::vector<std::uint8_t>& bytes;
-  std::size_t pos = 0;
-
-  bool get_u32(std::uint32_t& v) {
-    if (bytes.size() - pos < 4) return false;
-    v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | bytes[pos + static_cast<std::size_t>(i)];
-    pos += 4;
-    return true;
-  }
-
-  bool get_u64(std::uint64_t& v) {
-    if (bytes.size() - pos < 8) return false;
-    v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | bytes[pos + static_cast<std::size_t>(i)];
-    pos += 8;
-    return true;
-  }
-
-  /// Reads a bit-stream image: u64 bit count + ceil(count / 8) bytes.
-  bool get_stream(bits::BitWriter& stream) {
-    std::uint64_t bit_count = 0;
-    if (!get_u64(bit_count)) return false;
-    const std::uint64_t byte_count = (bit_count + 7) / 8;
-    if (bytes.size() - pos < byte_count) return false;
-    stream = bits::BitWriter::from_bytes(bytes.data() + pos,
-                                         static_cast<std::size_t>(bit_count));
-    pos += static_cast<std::size_t>(byte_count);
-    return true;
-  }
-
-  bool exhausted() const { return pos == bytes.size(); }
-};
+/// Reads a bit-stream image: u64 bit count + ceil(count / 8) bytes. False
+/// on short input, like every ByteReader read.
+bool get_stream(core::ByteReader& cur, bits::BitWriter& stream) {
+  std::uint64_t bit_count = 0;
+  std::span<const std::uint8_t> bytes;
+  if (!cur.get(bit_count)) return false;
+  // Rounded up without `bit_count + 7`, which wraps for a hostile count.
+  if (!cur.take(bit_count / 8 + (bit_count % 8 != 0 ? 1 : 0), bytes)) return false;
+  stream = bits::BitWriter::from_bytes(bytes.data(), static_cast<std::size_t>(bit_count));
+  return true;
+}
 
 Error malformed(const std::string& codec, const std::string& what) {
   return Error{ErrorKind::InvalidInput, codec + ": malformed chunk payload: " + what};
@@ -175,11 +144,11 @@ class LzwCodec final : public Codec {
       const lzw::EncodeResult encoded = lzw::Encoder(config_, tiebreak_).encode(chunk);
       CompressedChunk out;
       out.stats = CodecStats{label_, encoded.original_bits, encoded.compressed_bits()};
-      put_u32(out.payload, encoded.config.dict_size);
-      put_u32(out.payload, encoded.config.char_bits);
-      put_u32(out.payload, encoded.config.entry_bits);
-      put_u32(out.payload, encoded.config.variable_width ? 1u : 0u);
-      put_u64(out.payload, encoded.codes.size());
+      core::put<std::uint32_t>(out.payload, encoded.config.dict_size);
+      core::put<std::uint32_t>(out.payload, encoded.config.char_bits);
+      core::put<std::uint32_t>(out.payload, encoded.config.entry_bits);
+      core::put<std::uint32_t>(out.payload, encoded.config.variable_width ? 1u : 0u);
+      core::put<std::uint64_t>(out.payload, encoded.codes.size());
       put_stream(out.payload, encoded.stream);
       return out;
     });
@@ -187,14 +156,14 @@ class LzwCodec final : public Codec {
 
   Result<bits::TritVector> decompress_chunk(const std::vector<std::uint8_t>& payload,
                                             std::uint64_t trit_count) const override {
-    PayloadCursor cur{payload};
+    core::ByteReader cur(payload);
     lzw::LzwConfig config;
     std::uint32_t flags = 0;
     std::uint64_t code_count = 0;
     bits::BitWriter stream;
-    if (!cur.get_u32(config.dict_size) || !cur.get_u32(config.char_bits) ||
-        !cur.get_u32(config.entry_bits) || !cur.get_u32(flags) ||
-        !cur.get_u64(code_count) || !cur.get_stream(stream) || !cur.exhausted()) {
+    if (!cur.get(config.dict_size) || !cur.get(config.char_bits) ||
+        !cur.get(config.entry_bits) || !cur.get(flags) ||
+        !cur.get(code_count) || !get_stream(cur, stream) || !cur.exhausted()) {
       return malformed(label_, "truncated LZW fields");
     }
     config.variable_width = (flags & 1u) != 0;
@@ -243,8 +212,8 @@ class Lz77Codec final : public Codec {
       const Lz77Result encoded = lz77_encode(chunk, config_);
       CompressedChunk out;
       out.stats = CodecStats{label_, encoded.original_bits, encoded.stream.bit_count()};
-      put_u32(out.payload, encoded.config.window_bits);
-      put_u32(out.payload, encoded.config.length_bits);
+      core::put<std::uint32_t>(out.payload, encoded.config.window_bits);
+      core::put<std::uint32_t>(out.payload, encoded.config.length_bits);
       put_stream(out.payload, encoded.stream);
       return out;
     });
@@ -252,11 +221,11 @@ class Lz77Codec final : public Codec {
 
   Result<bits::TritVector> decompress_chunk(const std::vector<std::uint8_t>& payload,
                                             std::uint64_t trit_count) const override {
-    PayloadCursor cur{payload};
+    core::ByteReader cur(payload);
     Lz77Config config;
     bits::BitWriter stream;
-    if (!cur.get_u32(config.window_bits) || !cur.get_u32(config.length_bits) ||
-        !cur.get_stream(stream) || !cur.exhausted()) {
+    if (!cur.get(config.window_bits) || !cur.get(config.length_bits) ||
+        !get_stream(cur, stream) || !cur.exhausted()) {
       return malformed(label_, "truncated LZ77 fields");
     }
     if (config.window_bits < 1 || config.window_bits > 30 ||
@@ -278,20 +247,20 @@ class Lz77Codec final : public Codec {
 CompressedChunk pack_rle(const RleResult& encoded, const std::string& label) {
   CompressedChunk out;
   out.stats = CodecStats{label, encoded.original_bits, encoded.stream.bit_count()};
-  put_u32(out.payload, encoded.config.run_code == RunCode::Fdr ? 1u : 0u);
-  put_u32(out.payload, encoded.config.golomb_m);
+  core::put<std::uint32_t>(out.payload, encoded.config.run_code == RunCode::Fdr ? 1u : 0u);
+  core::put<std::uint32_t>(out.payload, encoded.config.golomb_m);
   put_stream(out.payload, encoded.stream);
   return out;
 }
 
 Result<bits::TritVector> unpack_rle(const std::vector<std::uint8_t>& payload,
                                     std::uint64_t trit_count, const std::string& label) {
-  PayloadCursor cur{payload};
+  core::ByteReader cur(payload);
   std::uint32_t run_code = 0;
   RleConfig config;
   bits::BitWriter stream;
-  if (!cur.get_u32(run_code) || !cur.get_u32(config.golomb_m) ||
-      !cur.get_stream(stream) || !cur.exhausted()) {
+  if (!cur.get(run_code) || !cur.get(config.golomb_m) ||
+      !get_stream(cur, stream) || !cur.exhausted()) {
     return malformed(label, "truncated RLE fields");
   }
   if (run_code > 1) return malformed(label, "unknown run code");
@@ -399,15 +368,15 @@ class HuffmanCodec final : public Codec {
       // Paper accounting: the codebook is configurator state, out-of-band;
       // the wire payload below carries it in-band regardless.
       out.stats = CodecStats{label_, encoded.original_bits, encoded.stream.bit_count()};
-      put_u32(out.payload, encoded.config.block_bits);
-      put_u32(out.payload, encoded.config.codebook_size);
-      put_u32(out.payload, static_cast<std::uint32_t>(encoded.codebook.size()));
-      put_u32(out.payload, encoded.escape_code);
-      put_u32(out.payload, encoded.escape_len);
+      core::put<std::uint32_t>(out.payload, encoded.config.block_bits);
+      core::put<std::uint32_t>(out.payload, encoded.config.codebook_size);
+      core::put<std::uint32_t>(out.payload, static_cast<std::uint32_t>(encoded.codebook.size()));
+      core::put<std::uint32_t>(out.payload, encoded.escape_code);
+      core::put<std::uint32_t>(out.payload, encoded.escape_len);
       for (const HuffmanEntry& e : encoded.codebook) {
-        put_u64(out.payload, e.pattern);
-        put_u32(out.payload, e.code);
-        put_u32(out.payload, e.code_len);
+        core::put<std::uint64_t>(out.payload, e.pattern);
+        core::put<std::uint32_t>(out.payload, e.code);
+        core::put<std::uint32_t>(out.payload, e.code_len);
       }
       put_stream(out.payload, encoded.stream);
       return out;
@@ -416,12 +385,12 @@ class HuffmanCodec final : public Codec {
 
   Result<bits::TritVector> decompress_chunk(const std::vector<std::uint8_t>& payload,
                                             std::uint64_t trit_count) const override {
-    PayloadCursor cur{payload};
+    core::ByteReader cur(payload);
     HuffmanResult encoded;
     std::uint32_t entry_count = 0;
-    if (!cur.get_u32(encoded.config.block_bits) ||
-        !cur.get_u32(encoded.config.codebook_size) || !cur.get_u32(entry_count) ||
-        !cur.get_u32(encoded.escape_code) || !cur.get_u32(encoded.escape_len)) {
+    if (!cur.get(encoded.config.block_bits) ||
+        !cur.get(encoded.config.codebook_size) || !cur.get(entry_count) ||
+        !cur.get(encoded.escape_code) || !cur.get(encoded.escape_len)) {
       return malformed(label_, "truncated Huffman header");
     }
     if (encoded.config.block_bits < 1 || encoded.config.block_bits > 64) {
@@ -432,14 +401,14 @@ class HuffmanCodec final : public Codec {
     }
     encoded.codebook.resize(entry_count);
     for (HuffmanEntry& e : encoded.codebook) {
-      if (!cur.get_u64(e.pattern) || !cur.get_u32(e.code) || !cur.get_u32(e.code_len)) {
+      if (!cur.get(e.pattern) || !cur.get(e.code) || !cur.get(e.code_len)) {
         return malformed(label_, "truncated codebook entry");
       }
       if (e.code_len < 1 || e.code_len > 32) {
         return malformed(label_, "codebook code length out of range");
       }
     }
-    if (!cur.get_stream(encoded.stream) || !cur.exhausted()) {
+    if (!get_stream(cur, encoded.stream) || !cur.exhausted()) {
       return malformed(label_, "truncated Huffman stream");
     }
     encoded.original_bits = trit_count;
@@ -490,9 +459,9 @@ class LfsrReseedCodec final : public Codec {
       const LfsrReseedResult encoded = lfsr_reseed_encode(cubes, config_);
       CompressedChunk out;
       out.stats = CodecStats{label_, chunk.size(), encoded.compressed_bits()};
-      put_u32(out.payload, encoded.width);
-      put_u32(out.payload, encoded.seed_bits);
-      put_u64(out.payload, encoded.seeds.size());
+      core::put<std::uint32_t>(out.payload, encoded.width);
+      core::put<std::uint32_t>(out.payload, encoded.seed_bits);
+      core::put<std::uint64_t>(out.payload, encoded.seeds.size());
       bits::BitWriter stream;
       for (std::size_t p = 0; p < encoded.seeds.size(); ++p) {
         stream.write_bit(encoded.escaped[p]);
@@ -515,12 +484,12 @@ class LfsrReseedCodec final : public Codec {
 
   Result<bits::TritVector> decompress_chunk(const std::vector<std::uint8_t>& payload,
                                             std::uint64_t trit_count) const override {
-    PayloadCursor cur{payload};
+    core::ByteReader cur(payload);
     LfsrReseedResult encoded;
     std::uint64_t patterns = 0;
     bits::BitWriter stream;
-    if (!cur.get_u32(encoded.width) || !cur.get_u32(encoded.seed_bits) ||
-        !cur.get_u64(patterns) || !cur.get_stream(stream) || !cur.exhausted()) {
+    if (!cur.get(encoded.width) || !cur.get(encoded.seed_bits) ||
+        !cur.get(patterns) || !get_stream(cur, stream) || !cur.exhausted()) {
       return malformed(label_, "truncated reseed fields");
     }
     if (trit_count == 0) {

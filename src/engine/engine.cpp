@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <future>
 #include <map>
-#include <sstream>
 
 #include "core/file_io.h"
 #include "exp/flow.h"
@@ -81,11 +80,6 @@ Status guarded(Fn&& fn) {
   }
 }
 
-std::string resolve_output(const std::string& output_dir, const std::string& path) {
-  if (path.empty() || output_dir.empty() || path.front() == '/') return path;
-  return output_dir + "/" + path;
-}
-
 /// Seeds the outcome's identity fields from the spec, so reports describe
 /// jobs identically whichever front end ran them.
 void init_outcome(Job& job) {
@@ -115,10 +109,8 @@ Status stage_load(GenMemo& gen, Job& job) {
     return {};
   }
   if (!spec.input_path.empty()) {
-    return guarded([&]() -> Status {
-      job.stream = scan::read_tests_file(spec.input_path).serialize();
-      return {};
-    });
+    job.stream = scan::read_tests_file(spec.input_path).serialize();
+    return {};
   }
   // gen= source: memoized exp::prepare so concurrent jobs over the same
   // circuit never race on the ATPG disk cache.
@@ -145,10 +137,8 @@ Status stage_load(GenMemo& gen, Job& job) {
       promise.set_exception(std::current_exception());
     }
   }
-  return guarded([&]() -> Status {
-    job.stream = *future.get();
-    return {};
-  });
+  job.stream = *future.get();
+  return {};
 }
 
 Status stage_encode(Job& job, MetricsRegistry& metrics) {
@@ -174,33 +164,27 @@ Status stage_encode(Job& job, MetricsRegistry& metrics) {
     job.outcome.choices = std::move(job.chunks.choices);
     return {};
   }
-  return guarded([&]() -> Status {
-    const lzw::Encoder encoder(spec.config, spec.tiebreak);
-    job.encoded = encoder.encode(job.stream, spec.xassign, spec.rng_seed);
-    job.outcome.original_bits = job.encoded.original_bits;
-    job.outcome.compressed_bits = job.encoded.compressed_bits();
-    job.outcome.ratio_percent = job.encoded.ratio_percent();
-    job.outcome.telemetry = std::move(job.encoded.telemetry);
-    return {};
-  });
+  const lzw::Encoder encoder(spec.config, spec.tiebreak);
+  job.encoded = encoder.encode(job.stream, spec.xassign, spec.rng_seed);
+  job.outcome.original_bits = job.encoded.original_bits;
+  job.outcome.compressed_bits = job.encoded.compressed_bits();
+  job.outcome.ratio_percent = job.encoded.ratio_percent();
+  job.outcome.telemetry = std::move(job.encoded.telemetry);
+  return {};
 }
 
 Status stage_container(Job& job) {
   const JobSpec& spec = *job.spec;
-  return guarded([&]() -> Status {
-    std::ostringstream out;
-    if (job.multi_codec()) {
-      const std::uint32_t chunk_trits =
-          spec.chunk_trits != 0 ? spec.chunk_trits : codec::kDefaultChunkTrits;
-      lzw::write_image_v3(out, spec.config, job.chunks.original_bits,
-                          chunk_trits, job.chunks.records);
-    } else {
-      lzw::write_image(out, job.encoded, spec.container);
-    }
-    job.container = std::move(out).str();
-    job.outcome.container_bytes = job.container.size();
-    return {};
-  });
+  if (job.multi_codec()) {
+    const std::uint32_t chunk_trits =
+        spec.chunk_trits != 0 ? spec.chunk_trits : codec::kDefaultChunkTrits;
+    job.container = lzw::image_v3_bytes(spec.config, job.chunks.original_bits,
+                                        chunk_trits, job.chunks.records);
+  } else {
+    job.container = lzw::image_bytes(job.encoded, spec.container);
+  }
+  job.outcome.container_bytes = job.container.size();
+  return {};
 }
 
 Status stage_verify(Job& job) {
@@ -208,8 +192,7 @@ Status stage_verify(Job& job) {
   // back, decode, and prove the expansion is fully specified and covers
   // every care bit of the input — the invariant the whole repository is
   // built around.
-  std::istringstream in(job.container);
-  Result<lzw::CompressedImage> image = lzw::try_read_image(in);
+  Result<lzw::CompressedImage> image = lzw::try_read_image(job.container);
   if (!image.ok()) return image.error();
   // codec::decode_image routes v1/v2 through the LZW image decoder and v3
   // through the codec registry, so one verify covers both container paths.
@@ -405,7 +388,7 @@ BatchResult Engine::run(const Manifest& manifest, const CommitCallback& on_commi
   const auto commit = [&](std::size_t index) {
     JobOutcome& job = result.jobs[index];
     job.output_path =
-        resolve_output(options_.output_dir, manifest.jobs[index].output_path);
+        resolve_path(options_.output_dir, manifest.jobs[index].output_path);
     commit_m.in->add();
     if (!job.status.ok() || job.cancelled) {
       commit_m.skip->add();

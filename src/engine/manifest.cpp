@@ -19,18 +19,17 @@ Error manifest_error(std::size_t line_no, const std::string& message) {
   return config_error("manifest line " + std::to_string(line_no) + ": " + message);
 }
 
-/// Joins a possibly relative path onto a base directory.
-std::string resolve(const std::string& base_dir, const std::string& path) {
-  if (base_dir.empty() || path.empty() || path.front() == '/') return path;
-  return base_dir + "/" + path;
-}
-
 bool parse_u64(const std::string& raw, std::uint64_t* out) {
   const auto [end, ec] = std::from_chars(raw.data(), raw.data() + raw.size(), *out);
   return ec == std::errc() && end == raw.data() + raw.size();
 }
 
 }  // namespace
+
+std::string resolve_path(const std::string& base_dir, const std::string& path) {
+  if (base_dir.empty() || path.empty() || path.front() == '/') return path;
+  return base_dir + "/" + path;
+}
 
 const char* tiebreak_name(lzw::Tiebreak tiebreak) {
   switch (tiebreak) {
@@ -187,7 +186,7 @@ Result<Manifest> parse_manifest(std::istream& in, const std::string& base_dir) {
       if (key == "name") {
         spec.name = value;
       } else if (key == "input") {
-        spec.input_path = resolve(base_dir, value);
+        spec.input_path = resolve_path(base_dir, value);
       } else if (key == "gen") {
         spec.gen_circuit = value;
       } else if (key == "out") {

@@ -52,6 +52,11 @@ struct Manifest {
   std::vector<JobSpec> jobs;
 };
 
+/// Joins a relative `path` onto `base_dir`; an empty base or path, or an
+/// absolute path, passes through unchanged. Anchors manifest inputs at the
+/// manifest's directory and job outputs at the engine's output_dir.
+std::string resolve_path(const std::string& base_dir, const std::string& path);
+
 /// Stable lower-case names used by the manifest format and the batch report.
 const char* tiebreak_name(lzw::Tiebreak tiebreak);
 const char* xassign_name(lzw::XAssignMode mode);

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/bytes.h"
 #include "core/error.h"
 #include "lzw/decoder.h"
 #include "lzw/encoder.h"
@@ -112,29 +113,38 @@ struct CompressedImage {
   DecodeResult decode() const { return try_decode().value_or_throw(); }
 };
 
-/// Serializes an encoder result. Throws std::invalid_argument on unusable
-/// options (unknown version, 0 < chunk_bytes < 64) and ContainerError on a
-/// stream write failure.
+/// Serializes an encoder result into one string: the v1 or v2 header, then
+/// the payload. Throws std::invalid_argument on unusable options (unknown
+/// version, 0 < chunk_bytes < 64).
+std::string image_bytes(const EncodeResult& encoded, const ContainerOptions& options = {});
+
+/// Serializes a multi-codec image (format version 3) into one string: the
+/// LzwConfig rides along as the configurator block for tools, `chunk_trits`
+/// records the encode-time chunk granularity, and each record is CRC-framed
+/// whole. `original_bits` must equal the sum of the records'
+/// original_trits; DecodeError (ContractViolation) otherwise.
+std::string image_v3_bytes(const LzwConfig& config, std::uint64_t original_bits,
+                           std::uint32_t chunk_trits, const std::vector<ChunkRecord>& chunks);
+
+/// The one container parser, for every version. It parses in place and
+/// checks each declared size against the bytes held before sizing anything
+/// from it. Every failure is typed and positioned — TruncatedHeader,
+/// BadMagic, UnsupportedVersion, HeaderCrcMismatch, ConfigMismatch,
+/// TruncatedPayload, ChunkCrcMismatch (chunk index and byte range),
+/// PayloadCrcMismatch — never UB. Bytes after the container are ignored.
+Result<CompressedImage> try_read_image(std::span<const std::uint8_t> bytes);
+inline Result<CompressedImage> try_read_image(std::string_view bytes) {
+  return try_read_image(core::byte_span(bytes));
+}
+
+/// Stream forms: the image written once (ContainerError on a stream write
+/// failure), or the input read whole and then parsed.
 void write_image(std::ostream& out, const EncodeResult& encoded,
                  const ContainerOptions& options = {});
-
-/// Serializes a multi-codec image (format version 3): the LzwConfig rides
-/// along as the configurator block for tools, `chunk_trits` records the
-/// encode-time chunk granularity, and each record is CRC-framed whole.
-/// `original_bits` must equal the sum of the records' original_trits.
-/// Throws ContainerError on a stream write failure, DecodeError
-/// (ContractViolation) on inconsistent arguments.
 void write_image_v3(std::ostream& out, const LzwConfig& config,
                     std::uint64_t original_bits, std::uint32_t chunk_trits,
                     const std::vector<ChunkRecord>& chunks);
-
-/// Strict reader for both container versions: every field is bounds-checked,
-/// every integrity check typed — TruncatedHeader, BadMagic,
-/// UnsupportedVersion, HeaderCrcMismatch, ConfigMismatch, TruncatedPayload,
-/// ChunkCrcMismatch (with the chunk index and byte range), and
-/// PayloadCrcMismatch. Never exhibits UB on corrupt input.
 Result<CompressedImage> try_read_image(std::istream& in);
-
 /// Throwing wrapper over try_read_image (ContainerError / DecodeError).
 CompressedImage read_image(std::istream& in);
 

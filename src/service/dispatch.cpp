@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "codec/select.h"
@@ -207,34 +208,37 @@ Frame Dispatcher::dispatch(const Frame& request) {
 
   if (request.op == "compress") return do_compress(request);
 
+  // The decode-side ops parse the request payload in place: run_on_pool
+  // blocks until the task has run, so the view outlives every use.
+  const std::string_view payload = request.payload;
+
   if (request.op == "decompress") {
-    return run_on_pool(request, [payload = request.payload]() -> Result<Frame> {
-      std::istringstream in(payload, std::ios::binary);
-      Result<lzw::CompressedImage> image = lzw::try_read_image(in);
+    return run_on_pool(request, [payload]() -> Result<Frame> {
+      Result<lzw::CompressedImage> image = lzw::try_read_image(payload);
       if (!image.ok()) return image.error();
-      const Result<bits::TritVector> decoded = codec::decode_image(image.value());
+      Result<bits::TritVector> decoded = codec::decode_image(image.value());
       if (!decoded.ok()) return decoded.error();
       // The same single-cube expansion tdc_cli decompress writes: without
       // side information the stream is one long vector.
+      const std::size_t bit_count = decoded.value().size();
       scan::TestSet out;
       out.circuit = "decompressed";
-      out.width = static_cast<std::uint32_t>(decoded.value().size());
-      out.cubes.push_back(decoded.value());
+      out.width = static_cast<std::uint32_t>(bit_count);
+      out.cubes.push_back(std::move(decoded).take());
       std::ostringstream text;
       scan::write_tests(text, out);
       Frame resp;
       resp.op = "ok";
       resp.add_param("codes", u64_str(image.value().code_count));
-      resp.add_param("bits", u64_str(decoded.value().size()));
+      resp.add_param("bits", u64_str(bit_count));
       resp.payload = std::move(text).str();
       return resp;
     });
   }
 
   if (request.op == "verify") {
-    return run_on_pool(request, [payload = request.payload]() -> Result<Frame> {
-      std::istringstream in(payload, std::ios::binary);
-      Result<lzw::CompressedImage> image = lzw::try_read_image(in);
+    return run_on_pool(request, [payload]() -> Result<Frame> {
+      Result<lzw::CompressedImage> image = lzw::try_read_image(payload);
       if (!image.ok()) return image.error();
       const Result<bits::TritVector> decoded = codec::decode_image(image.value());
       if (!decoded.ok()) return decoded.error();
@@ -254,9 +258,8 @@ Frame Dispatcher::dispatch(const Frame& request) {
   }
 
   if (request.op == "inspect") {
-    return run_on_pool(request, [payload = request.payload]() -> Result<Frame> {
-      std::istringstream in(payload, std::ios::binary);
-      if (Result<lzw::CompressedImage> image = lzw::try_read_image(in);
+    return run_on_pool(request, [payload]() -> Result<Frame> {
+      if (Result<lzw::CompressedImage> image = lzw::try_read_image(payload);
           image.ok()) {
         const lzw::CompressedImage& img = image.value();
         char buf[256];

@@ -4,7 +4,12 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "core/bytes.h"
 #include "service/socket.h"
+
+// Frame codec for the tdcd wire protocol (framing.h). The 8-byte
+// little-endian payload length goes through the shared byte layer:
+// core::put writes it, core::load reads it once fill() holds all 8 bytes.
 
 namespace tdc::service {
 
@@ -51,20 +56,6 @@ std::vector<std::string> split_tokens(const std::string& line) {
   return tokens;
 }
 
-void put_u64_le(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint64_t get_u64_le(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
 }  // namespace
 
 std::string Frame::param(const std::string& key, const std::string& fallback) const {
@@ -104,7 +95,7 @@ Result<std::string> encode_frame(const Frame& frame) {
     out += v;
   }
   out += '\n';
-  put_u64_le(out, frame.payload.size());
+  core::put<std::uint64_t>(out, frame.payload.size());
   out += frame.payload;
   return out;
 }
@@ -183,7 +174,7 @@ Result<bool> FrameReader::read(Frame& out) {
   // Length prefix — validate against the cap BEFORE any payload allocation,
   // so a declared 2^60-byte payload is a typed refusal, not an OOM attempt.
   if (Status s = fill(8); !s.ok()) return s.error();
-  const std::uint64_t declared = get_u64_le(buffer_.data());
+  const auto declared = core::load<std::uint64_t>(core::byte_span(buffer_).data());
   buffer_.erase(0, 8);
   if (declared > limits_.max_payload_bytes) {
     return protocol_error("declared payload of " + std::to_string(declared) +

@@ -7,7 +7,17 @@ set -e
 
 CLI="$1"
 WORK="$(mktemp -d)"
-trap 'rm -rf "$WORK"' EXIT
+SERVE_PID=
+# A failing step must not leave the background daemon running: stop it
+# before its socket directory goes away.
+cleanup() {
+  if [ -n "$SERVE_PID" ]; then
+    kill "$SERVE_PID" 2>/dev/null || true
+    wait "$SERVE_PID" 2>/dev/null || true
+  fi
+  rm -rf "$WORK"
+}
+trap cleanup EXIT
 export TDC_CACHE_DIR="$WORK/cache"
 
 "$CLI" gen itc_b09f "$WORK/c.tests"
@@ -320,6 +330,7 @@ grep -q "Truncated" "$WORK/serve_err.txt"
 # structured log recorded the full lifecycle as JSON lines.
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"   # set -e: a nonzero daemon exit code fails the test here
+SERVE_PID=          # exited; nothing left for the EXIT trap to stop
 test ! -e "$SOCK"
 grep -q '"event": "server.listen"' "$WORK/serve.log"
 grep -q '"event": "conn.accept"' "$WORK/serve.log"

@@ -11,6 +11,7 @@
 #include "bits/rng.h"
 #include "codec/codec.h"
 #include "codec/select.h"
+#include "core/bytes.h"
 
 namespace tdc::codec {
 namespace {
@@ -168,6 +169,39 @@ TEST(CodecV2Test, DecompressRejectsDamagedPayloads) {
       }
     }
   }
+}
+
+TEST(CodecV2Test, DecompressRejectsSizesPastThePayload) {
+  // Declared sizes are checked against the bytes held before anything is
+  // read or sized from them, including counts whose round-up wraps.
+  const auto rejects = [](CodecId id, const std::vector<std::uint8_t>& payload,
+                          std::uint64_t trits, const std::string& what) {
+    const Result<TritVector> decoded =
+        codec_for_id(static_cast<std::uint8_t>(id))->decompress_chunk(payload, trits);
+    ASSERT_FALSE(decoded.ok()) << what;
+    EXPECT_EQ(decoded.error().kind, ErrorKind::InvalidInput) << what;
+  };
+  std::vector<std::uint8_t> lzw;  // dict, char, entry, flags, codes, stream bits
+  for (const std::uint32_t v : {64u, 4u, 15u, 0u}) core::put<std::uint32_t>(lzw, v);
+  core::put<std::uint64_t>(lzw, 1);
+  core::put<std::uint64_t>(lzw, ~std::uint64_t{0});
+  rejects(CodecId::Lzw, lzw, 10, "LZW stream of 2^64-1 bits, no bytes");
+
+  // BWT: block_bytes, packed_bytes, block_count, then the primary table.
+  std::vector<std::uint8_t> bwt;
+  core::put<std::uint32_t>(bwt, 16);
+  core::put<std::uint64_t>(bwt, 1);
+  core::put<std::uint32_t>(bwt, 1);
+  core::put<std::uint32_t>(bwt, 0);  // primary index
+  for (const std::uint32_t v : {8u, 0u, 0u, 0u, 1u}) core::put<std::uint32_t>(bwt, v);
+  core::put<std::uint64_t>(bwt, ~std::uint64_t{0});
+  rejects(CodecId::Bwt, bwt, 8, "BWT stream of 2^64-1 bits, no bytes");
+
+  std::vector<std::uint8_t> table;  // 2^28 primaries declared, none held
+  core::put<std::uint32_t>(table, 16);
+  core::put<std::uint64_t>(table, 1ull << 32);
+  core::put<std::uint32_t>(table, 1u << 28);
+  rejects(CodecId::Bwt, table, 1ull << 35, "BWT primary table past the payload");
 }
 
 TEST(SelectTest, ParseCodecModeAcceptsTokensAndModes) {

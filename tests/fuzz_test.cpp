@@ -18,6 +18,7 @@
 #include "hw/decompressor.h"
 #include "lzw/stream_io.h"
 #include "lzw/verify.h"
+#include "support/container_oracle.h"
 
 namespace tdc {
 namespace {
@@ -163,7 +164,9 @@ INSTANTIATE_TEST_SUITE_P(WorkloadZoo, FuzzTest, ::testing::Range<std::size_t>(0,
 // Container hardening: serialized images with deterministic random damage
 // (both versions, chunked and not) plus pure-noise blobs must flow through
 // the strict reader / decoder / hardware model as typed errors — no crash,
-// no termination, no UB, regardless of what the bytes claim.
+// no termination, no UB, regardless of what the bytes claim. The in-place
+// reader must also agree, field for field, with the istream reader it
+// replaced (tests/support/container_oracle).
 TEST_P(FuzzTest, DamagedContainersAlwaysFailCleanly) {
   const auto all = workloads();
   const Workload& wl = all[GetParam() % all.size()];
@@ -188,8 +191,8 @@ TEST_P(FuzzTest, DamagedContainersAlwaysFailCleanly) {
       }
       if (rng.chance(0.25)) bad.resize(rng.below(bad.size()));
 
-      std::istringstream in(bad, std::ios::binary);
-      tdc::Result<lzw::CompressedImage> image = lzw::try_read_image(in);
+      ASSERT_TRUE(lzw::oracle::parses_like_oracle(bad)) << "iteration " << iter;
+      tdc::Result<lzw::CompressedImage> image = lzw::try_read_image(bad);
       if (!image.ok()) continue;  // typed rejection is the expected outcome
       // A v1 image (no CRC) may still parse; decoding must stay clean too.
       tdc::Result<lzw::DecodeResult> decoded = image.value().try_decode();
@@ -211,8 +214,8 @@ TEST_P(FuzzTest, DamagedContainersAlwaysFailCleanly) {
   for (int iter = 0; iter < 200; ++iter) {
     std::string blob(rng.below(200), '\0');
     for (char& b : blob) b = static_cast<char>(rng.next_u64());
-    std::istringstream in(blob, std::ios::binary);
-    tdc::Result<lzw::CompressedImage> image = lzw::try_read_image(in);
+    ASSERT_TRUE(lzw::oracle::parses_like_oracle(blob)) << "blob " << iter;
+    tdc::Result<lzw::CompressedImage> image = lzw::try_read_image(blob);
     if (image.ok()) (void)image.value().try_decode();
   }
 }

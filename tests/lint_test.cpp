@@ -214,9 +214,18 @@ TEST(LintAllocTest, ConformingFixtureIsClean) {
   EXPECT_TRUE(findings.empty()) << format_report(findings);
 }
 
+TEST(LintAllocTest, ContainerParserTreeIsWireFacing) {
+  // src/lzw/ parses downloaded containers, so the rule covers it too.
+  const auto findings = lint_file("src/lzw/alloc_before_validate_bad.cpp",
+                                  read_fixture("alloc_before_validate_bad.cpp"));
+  const std::vector<RuleLine> expected = {{"alloc-before-validate", 10},
+                                          {"alloc-before-validate", 11}};
+  EXPECT_EQ(rule_lines(findings), expected) << format_report(findings);
+}
+
 TEST(LintAllocTest, RuleIsScopedToWireFacingTrees) {
-  // The same unvalidated sizing is legal outside src/service and src/codec
-  // — only wire-facing decode paths take attacker-controlled lengths.
+  // The same unvalidated sizing is legal outside src/service, src/codec and
+  // src/lzw — only wire-facing decode paths take attacker-controlled lengths.
   const auto findings = lint_file("src/engine/alloc_before_validate_bad.cpp",
                                   read_fixture("alloc_before_validate_bad.cpp"));
   EXPECT_TRUE(findings.empty()) << format_report(findings);

@@ -645,15 +645,16 @@ std::string to_lower(const std::string& s) {
 }
 
 /// alloc-before-validate — in the wire-facing trees (src/service/,
-/// src/codec/) a decode-path function must not size an allocation from a
+/// src/codec/, and src/lzw/ whose container parser reads downloaded
+/// images) a decode-path function must not size an allocation from a
 /// variable before that variable has met a bound check. The heuristic:
 /// inside any function whose name smells like decoding, every plain
 /// identifier feeding `.resize(...)`, `.reserve(...)` or `new T[...]` must
 /// appear earlier in the function next to a comparison operator or inside a
 /// TDC_REQUIRE/TDC_ENSURE/TDC_CHECK/assert argument list.
 void check_alloc_before_validate(const Ctx& ctx) {
-  if (!starts_with(ctx.path, "src/service/") &&
-      !starts_with(ctx.path, "src/codec/")) {
+  if (!starts_with(ctx.path, "src/service/") && !starts_with(ctx.path, "src/codec/") &&
+      !starts_with(ctx.path, "src/lzw/")) {
     return;
   }
   static const std::set<std::string> control = {
